@@ -126,26 +126,8 @@ def _cmd_scheme(args, out) -> int:
 
 
 def _cmd_lattice(args, out) -> int:
-    needed = {
-        "unit-exchange": ("total",),
-        "split-merge": ("total",),
-        "subset-swap": ("bits", "ones"),
-        "subset-double-swap": ("bits", "ones"),
-        "hypercube": ("dim",),
-    }[args.variant]
-    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
-    if missing:
-        print(f"lattice --variant {args.variant} requires {' '.join(missing)}",
-              file=sys.stderr)
-        return 2
-    lat = lattices.build_lattice(
-        args.variant,
-        total=args.total,
-        slots=args.slots,
-        bits=args.bits,
-        ones=args.ones,
-        dim=args.dim,
-    )
+    _, names = lattices.VARIANTS[args.variant]
+    lat = lattices.build_lattice(args.variant, **{name: getattr(args, name) for name in names})
     if args.format == "edges":
         out.write(lat.to_edge_list())
     elif args.format == "dot":

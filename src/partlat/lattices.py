@@ -12,23 +12,25 @@ subset-double-swap  fixed-weight bit strings, edges at Hamming distance 4
                     graph).
 hypercube           all d-bit strings, edges at Hamming distance 1.
 
-Nodes are canonical text labels sorted lexicographically, so exports are
-byte-stable.
+Builders work on padded part tuples or bit masks and generate each node's
+neighbours from it directly, so a build costs time proportional to its
+edges.  Each node is labelled once; nodes are canonical text labels sorted
+lexicographically, so exports are byte-stable.  ``NODE_CAP`` and
+``EDGE_CAP`` refuse graphs too large to materialize.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from . import oracle
-from .partitions import Partition
 
-VARIANTS = ("unit-exchange", "split-merge", "subset-swap", "subset-double-swap", "hypercube")
-
-# Refuse to materialize graphs whose node set alone is unreasonable.
+# Refuse to materialize graphs whose node or edge set is unreasonable.
 NODE_CAP = 10 ** 6
+EDGE_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -55,16 +57,18 @@ class OrbitLattice:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, node: str) -> tuple[str, ...]:
-        if node not in set(self.nodes):
-            raise KeyError(f"unknown node {node!r}")
-        out = []
+    @cached_property
+    def _adjacency(self) -> dict[str, tuple[str, ...]]:
+        adjacency: dict[str, list[str]] = {n: [] for n in self.nodes}
         for a, b in self.edges:
-            if a == node:
-                out.append(b)
-            elif b == node:
-                out.append(a)
-        return tuple(sorted(out))
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        return {n: tuple(sorted(out)) for n, out in adjacency.items()}
+
+    def neighbors(self, node: str) -> tuple[str, ...]:
+        if node not in self._adjacency:
+            raise KeyError(f"unknown node {node!r}")
+        return self._adjacency[node]
 
     def degree(self, node: str) -> int:
         return len(self.neighbors(node))
@@ -87,15 +91,24 @@ class OrbitLattice:
         }
 
 
-def _finish(variant: str, labels: set[str], edges: set[tuple[str, str]]) -> OrbitLattice:
-    return OrbitLattice(variant, tuple(sorted(labels)), tuple(sorted(edges)))
+def _collect(variant: str, labels: dict, moves) -> OrbitLattice:
+    """The lattice on ``labels`` ({node: label}) whose edges join each node
+    to the nodes ``moves(node)`` yields; refused past ``EDGE_CAP`` edges."""
+    edges: set[tuple[str, str]] = set()
+    for node, label in labels.items():
+        for other in moves(node):
+            other = labels[other]
+            edges.add((label, other) if label < other else (other, label))
+        if len(edges) > EDGE_CAP:
+            raise ValueError(f"edge count exceeds the cap {EDGE_CAP}")
+    return OrbitLattice(variant, tuple(sorted(labels.values())), tuple(sorted(edges)))
 
 
-def _edge(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a < b else (b, a)
-
-
-def _partition_nodes(total: int, slots: int) -> list[Partition]:
+def _partition_nodes(total: int, slots: int) -> dict[tuple[int, ...], str]:
+    """Partitions of ``total`` in at most ``slots`` parts, as padded part
+    tuples mapped to their labels."""
+    if total < 0:
+        raise ValueError("total must be >= 0")
     if slots < 1:
         raise ValueError("slots must be >= 1")
     nodes = oracle.enumerate_partitions(
@@ -103,81 +116,80 @@ def _partition_nodes(total: int, slots: int) -> list[Partition]:
     )
     if len(nodes) > NODE_CAP:
         raise ValueError(f"node count {len(nodes)} exceeds the cap {NODE_CAP}")
-    return [q.with_padding(slots) for q in nodes]
+    padded = (q.with_padding(slots) for q in nodes)
+    return {q.parts: q.label() for q in padded}
+
+
+def _unit_moves(parts: tuple[int, ...]):
+    """Move one unit from the last slot holding x > 0 to the first slot
+    holding y, for each pair of values with y != x - 1; parts stay sorted."""
+    first, last = {}, {}
+    for i, v in enumerate(parts):
+        first.setdefault(v, i)
+        last[v] = i
+    for x, i in last.items():
+        for y, j in first.items():
+            if x > 0 and y != x - 1 and i != j:
+                moved = list(parts)
+                moved[i] -= 1
+                moved[j] += 1
+                yield tuple(moved)
+
+
+def _merges(parts: tuple[int, ...]):
+    """Merge two nonzero parts, once per pair of values."""
+    values = [v for v in dict.fromkeys(parts) if v]
+    for k, x in enumerate(values):
+        for y in values[k:]:
+            if y != x or parts.count(x) > 1:
+                rest = list(parts)
+                rest.remove(x)
+                rest.remove(y)
+                yield tuple(sorted(rest + [x + y], reverse=True)) + (0,)
 
 
 def build_unit_exchange(total: int, slots: int) -> OrbitLattice:
     """Orbits of ``total`` in ``slots`` positions; neighbors differ by moving
     exactly one unit from one position to another (Euclidean step sqrt(2))."""
-    nodes = _partition_nodes(total, slots)
-    labels = {q.label() for q in nodes}
-    edges: set[tuple[str, str]] = set()
-    for q in nodes:
-        vec = list(q.parts)
-        for i in range(slots):
-            if vec[i] < 1:
-                continue
-            for j in range(slots):
-                if i == j:
-                    continue
-                moved = list(vec)
-                moved[i] -= 1
-                moved[j] += 1
-                other = Partition(tuple(sorted(moved, reverse=True)), slots)
-                if other != q:
-                    edges.add(_edge(q.label(), other.label()))
-    return _finish("unit-exchange", labels, edges)
+    return _collect("unit-exchange", _partition_nodes(total, slots), _unit_moves)
 
 
 def build_split_merge(total: int, slots: int) -> OrbitLattice:
     """Same nodes as unit-exchange; an edge joins two nonzero parts into one
     (equivalently splits one part into two).  Every edge changes the number
     of nonzero parts by exactly one."""
-    nodes = _partition_nodes(total, slots)
-    labels = {q.label() for q in nodes}
-    edges: set[tuple[str, str]] = set()
-    for q in nodes:
-        ps = q.nonzero_parts
-        for i, j in combinations(range(len(ps)), 2):
-            merged = [v for k, v in enumerate(ps) if k not in (i, j)]
-            merged.append(ps[i] + ps[j])
-            other = Partition(tuple(sorted(merged, reverse=True)), slots)
-            edges.add(_edge(q.label(), other.label()))
-    return _finish("split-merge", labels, edges)
+    return _collect("split-merge", _partition_nodes(total, slots), _merges)
 
 
-def _bit_nodes(bits: int, ones: int) -> list[str]:
+def _bit_lattice(variant: str, bits: int, masks, swaps: int) -> OrbitLattice:
+    """Graph on ``bits``-bit masks whose edges swap ``swaps`` ones with as
+    many zeros, or flip a single bit when ``swaps`` is 0."""
+    flips = [1 << i for i in range(bits)]
+
+    def moves(mask: int):
+        if not swaps:
+            return (mask ^ f for f in flips)
+        ones = [sum(c) for c in combinations([f for f in flips if mask & f], swaps)]
+        zeros = [sum(c) for c in combinations([f for f in flips if not mask & f], swaps)]
+        return (mask ^ a ^ b for a in ones for b in zeros)
+
+    return _collect(variant, {m: format(m, f"0{bits}b") for m in masks}, moves)
+
+
+def _weight_masks(bits: int, ones: int):
     if bits < 1 or not 0 <= ones <= bits:
         raise ValueError("need bits >= 1 and 0 <= ones <= bits")
     if math.comb(bits, ones) > NODE_CAP:
         raise ValueError(f"node count {math.comb(bits, ones)} exceeds the cap {NODE_CAP}")
-    nodes = []
-    for positions in combinations(range(bits), ones):
-        word = ["0"] * bits
-        for i in positions:
-            word[i] = "1"
-        nodes.append("".join(word))
-    return nodes
-
-
-def _hamming(a: str, b: str) -> int:
-    return sum(x != y for x, y in zip(a, b))
+    return (sum(1 << i for i in c) for c in combinations(range(bits), ones))
 
 
 def build_subset_swap(bits: int, ones: int) -> OrbitLattice:
-    nodes = _bit_nodes(bits, ones)
-    edges = {
-        _edge(a, b) for a, b in combinations(nodes, 2) if _hamming(a, b) == 2
-    }
-    return _finish("subset-swap", set(nodes), edges)
+    return _bit_lattice("subset-swap", bits, _weight_masks(bits, ones), 1)
 
 
 def build_subset_double_swap(bits: int, ones: int) -> OrbitLattice:
-    nodes = _bit_nodes(bits, ones)
-    edges = {
-        _edge(a, b) for a, b in combinations(nodes, 2) if _hamming(a, b) == 4
-    }
-    return _finish("subset-double-swap", set(nodes), edges)
+    return _bit_lattice("subset-double-swap", bits, _weight_masks(bits, ones), 2)
 
 
 def build_hypercube(dim: int) -> OrbitLattice:
@@ -185,40 +197,41 @@ def build_hypercube(dim: int) -> OrbitLattice:
         raise ValueError("dim must be >= 1")
     if 2 ** dim > NODE_CAP:
         raise ValueError(f"node count {2 ** dim} exceeds the cap {NODE_CAP}")
-    nodes = [format(x, f"0{dim}b") for x in range(2 ** dim)]
-    edges = {
-        _edge(a, b) for a, b in combinations(nodes, 2) if _hamming(a, b) == 1
-    }
-    return _finish("hypercube", set(nodes), edges)
+    return _bit_lattice("hypercube", dim, range(2 ** dim), 0)
+
+
+# Variant name -> (builder, its parameters in order).
+VARIANTS = {
+    "unit-exchange": (build_unit_exchange, ("total", "slots")),
+    "split-merge": (build_split_merge, ("total", "slots")),
+    "subset-swap": (build_subset_swap, ("bits", "ones")),
+    "subset-double-swap": (build_subset_double_swap, ("bits", "ones")),
+    "hypercube": (build_hypercube, ("dim",)),
+}
 
 
 def build_lattice(variant: str, **params) -> OrbitLattice:
-    """Dispatch by variant name; see the module docstring for parameters."""
-    if variant == "unit-exchange":
-        return build_unit_exchange(params["total"], params.get("slots") or params["total"])
-    if variant == "split-merge":
-        return build_split_merge(params["total"], params.get("slots") or params["total"])
-    if variant == "subset-swap":
-        return build_subset_swap(params["bits"], params["ones"])
-    if variant == "subset-double-swap":
-        return build_subset_double_swap(params["bits"], params["ones"])
-    if variant == "hypercube":
-        return build_hypercube(params["dim"])
-    raise ValueError(f"unknown lattice variant {variant!r}; choose one of {VARIANTS}")
+    """Dispatch by variant name; see the module docstring for parameters.
+    ``slots`` is optional and defaults to ``total``."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown lattice variant {variant!r}; choose one of {tuple(VARIANTS)}")
+    builder, names = VARIANTS[variant]
+    missing = [name for name in names if name != "slots" and params.get(name) is None]
+    if missing:
+        raise ValueError(f"lattice variant {variant} requires {', '.join(missing)}")
+    if params.get("slots") is None:
+        params["slots"] = params.get("total")
+    return builder(*(params[name] for name in names))
 
 
 def distance(lattice: OrbitLattice, a: str, b: str) -> int | float:
     """Unweighted shortest-path length; math.inf when disconnected."""
-    node_set = set(lattice.nodes)
+    adjacency = lattice._adjacency
     for x in (a, b):
-        if x not in node_set:
+        if x not in adjacency:
             raise KeyError(f"unknown node {x!r}")
     if a == b:
         return 0
-    adjacency: dict[str, list[str]] = {n: [] for n in lattice.nodes}
-    for x, y in lattice.edges:
-        adjacency[x].append(y)
-        adjacency[y].append(x)
     seen = {a}
     frontier = [a]
     steps = 0
@@ -241,13 +254,13 @@ def column_edge_counts(total: int) -> tuple[int, ...]:
     orbit with n nonzero parts to one with n + 1, for n = 1..total-1."""
     if total < 2:
         raise ValueError("total must be >= 2")
-    lat = build_unit_exchange(total, total)
-    sizes = {label: sum(1 for ch in _label_parts(label) if ch > 0) for label in lat.nodes}
     counts = [0] * (total - 1)
-    for a, b in lat.edges:
-        lo, hi = sorted((sizes[a], sizes[b]))
-        if hi == lo + 1:
-            counts[lo - 1] += 1
+    for parts in _partition_nodes(total, total):
+        # A move changes the nonzero count by at most one, and each edge
+        # is met once from its side with fewer nonzero parts.
+        zeros = parts.count(0)
+        if zeros:
+            counts[total - zeros - 1] += sum(1 for q in _unit_moves(parts) if q.count(0) < zeros)
     return tuple(counts)
 
 

@@ -126,6 +126,17 @@ class TestLatticeCommand:
         status, _ = run_cli("lattice", "--variant", "hypercube")
         assert status == 2
 
+    def test_zero_slots_refused(self, capsys):
+        status, text = run_cli("lattice", "--variant", "unit-exchange",
+                               "--total", "5", "--slots", "0")
+        assert status == 2 and text == ""
+        assert "slots must be >= 1" in capsys.readouterr().err
+
+    def test_negative_total_refused(self, capsys):
+        status, text = run_cli("lattice", "--variant", "unit-exchange", "--total", "-1")
+        assert status == 2 and text == ""
+        assert "total must be >= 0" in capsys.readouterr().err
+
 
 class TestSeriesCommand:
     def test_partition_series(self):

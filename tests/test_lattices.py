@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -130,6 +131,12 @@ class TestBitVariants:
         with pytest.raises(ValueError):
             build_hypercube(25)
 
+    def test_edge_cap(self, monkeypatch):
+        monkeypatch.setattr(lattices, "EDGE_CAP", 100)
+        assert build_hypercube(5).edge_count == 80
+        with pytest.raises(ValueError, match="edge count exceeds the cap 100"):
+            build_hypercube(8)
+
 
 class TestDispatch:
     def test_variants(self):
@@ -140,6 +147,18 @@ class TestDispatch:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             build_lattice("diagonal")
+
+    def test_zero_slots_refused(self):
+        with pytest.raises(ValueError, match="slots must be >= 1"):
+            build_lattice("unit-exchange", total=5, slots=0)
+
+    def test_negative_total_refused(self):
+        with pytest.raises(ValueError, match="total must be >= 0"):
+            build_lattice("split-merge", total=-1)
+
+    def test_missing_parameter(self):
+        with pytest.raises(ValueError, match="requires bits, ones"):
+            build_lattice("subset-swap")
 
 
 class TestColumnEdgeCounts:
@@ -179,3 +198,57 @@ class TestExports:
         d = build_hypercube(2).to_json_dict()
         assert d["variant"] == "hypercube"
         assert len(d["nodes"]) == 4 and len(d["edges"]) == 4
+
+
+# sha256 of to_edge_list() + to_dot(), recorded from the all-pairs builders
+# these replaced.  (11, 3) and (12, 4) have comma labels such as "10,1,0",
+# which sort before "443" as text but after it as part tuples.
+PINNED_EXPORTS = [
+    (build_unit_exchange, (7, 7), "49d22af2b07881a40f19476305ecc499cb3e9cf514321218ae8404a15716afd6"),
+    (build_unit_exchange, (11, 3), "a9e4732640b86dff49433c30868513c8b4b1af1b110e2e71a1c8ca3a6869f3ba"),
+    (build_split_merge, (8, 4), "bf98336d10b3690e7be5e5bd370c41d254e7ee298b1867a8b967965a1a1bc337"),
+    (build_split_merge, (12, 4), "98039a064608ff2603b6973d0511e6de7c886dea5252e5b1db32540984553713"),
+    (build_subset_swap, (6, 3), "70a923f85e14bb1c2ab448a438ab1a9c028a121a6c79b78691034b60433a5cee"),
+    (build_subset_double_swap, (7, 3), "bda60bf6c9f7bf8062072c09790a8ff0c1de3d9a8bf5e80b50f677339ce81c14"),
+    (build_hypercube, (5,), "c1dbe6b530347bbbe62347b0c5a13b7f359fb561389b0857ff73612d3d38dd22"),
+]
+
+
+@pytest.mark.parametrize("builder,args,digest", PINNED_EXPORTS)
+def test_pinned_export_bytes(builder, args, digest):
+    lat = builder(*args)
+    text = lat.to_edge_list() + lat.to_dot()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestNetworkxCrossChecks:
+    """Independent checks against networkx (a test-only dependency)."""
+
+    @pytest.fixture
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    @staticmethod
+    def graph(nx, lat):
+        g = nx.Graph()
+        g.add_nodes_from(lat.nodes)
+        g.add_edges_from(lat.edges)
+        return g
+
+    @pytest.mark.parametrize("ones", (2, 3))
+    def test_petersen_isomorphism(self, nx, ones):
+        lat = build_subset_double_swap(5, ones)
+        assert nx.is_isomorphic(self.graph(nx, lat), nx.petersen_graph())
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_hypercube_isomorphism(self, nx, dim):
+        lat = build_hypercube(dim)
+        assert nx.is_isomorphic(self.graph(nx, lat), nx.hypercube_graph(dim))
+
+    @pytest.mark.parametrize("builder", (build_unit_exchange, build_split_merge))
+    def test_all_pairs_distances(self, nx, builder):
+        lat = builder(8, 8)
+        want = dict(nx.shortest_path_length(self.graph(nx, lat)))
+        for a in lat.nodes:
+            for b in lat.nodes:
+                assert distance(lat, a, b) == want[a][b], (a, b)
