@@ -37,9 +37,11 @@ binomial           hook-frame partitions by largest part (binomial rows)
 """
 
 # Size-cap guards for interactive use; the library itself enforces the
-# oracle and lattice caps.
+# oracle and lattice caps.  At the series cap the slowest kind (a capped
+# product over every part 1..order, uncapped) takes about 2 s.
 MAX_TABLE_SIZE = 200
 MAX_MATRIX_SIZE = 500
+MAX_SERIES_ORDER = 1500
 
 
 def _matrix_table(name: str, m: intmatrix.IntMatrix, base: int = 0) -> CountTable:
@@ -148,6 +150,9 @@ def _parse_caps(text: str) -> list[tuple[int, int | None]]:
 
 
 def _cmd_series(args, out) -> int:
+    if args.order > MAX_SERIES_ORDER:
+        print(f"series order exceeds the cap {MAX_SERIES_ORDER}", file=sys.stderr)
+        return 2
     if args.kind == "euler":
         s = series.euler_product(args.order)
     elif args.kind == "partition":
@@ -240,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("series", help="print generating-series coefficients")
     e.add_argument("--kind", choices=("euler", "partition", "distinct", "distinct-signed", "capped"),
                    required=True)
-    e.add_argument("--order", type=int, default=12, help="truncation order")
+    e.add_argument("--order", type=int, default=12,
+                   help=f"truncation order (0..{MAX_SERIES_ORDER})")
     e.add_argument("--caps", help='capped products: "part:cap,..." with * for uncapped')
     e.set_defaults(fn=_cmd_series)
 

@@ -1,8 +1,9 @@
 """Exact integer matrix algebra for the table identities.
 
-Only what the tables need: multiplication, triangular summation operators
-and exact inversion of unitriangular matrices by forward substitution.  No
-rationals, no floating point, no general elimination.
+Only what the tables need: multiplication, triangular summation operators,
+lower Toeplitz matrices built from (and inverted as) power series, and
+exact inversion of the other unitriangular matrices by forward
+substitution.  No rationals, no floating point, no general elimination.
 """
 
 from __future__ import annotations
@@ -76,9 +77,11 @@ def identity(n: int) -> IntMatrix:
 def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    bt = list(zip(*b.entries))
+    # Each column of b as its nonzero (row, value) pairs: the triangular and
+    # Toeplitz operands here are mostly zeros.
+    columns = [[(k, v) for k, v in enumerate(col) if v] for col in zip(*b.entries)]
     grid = tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.entries
+        tuple(sum(row[k] * v for k, v in col) for col in columns) for row in a.entries
     )
     tag = a.shape_tag if a.shape_tag == b.shape_tag and a.shape_tag != GENERAL else GENERAL
     return IntMatrix(grid, tag)
@@ -130,16 +133,26 @@ def summation_inverse(n: int, upper: bool = False) -> IntMatrix:
 
 # -- Toeplitz partition matrices ------------------------------------------
 
+def toeplitz(column: Sequence[int]) -> IntMatrix:
+    """Lower Toeplitz matrix with entry column[i - j] on and below the
+    diagonal; column[0] must be 1.  Multiplying two such matrices multiplies
+    their columns as truncated power series, so the inverse of one is the
+    Toeplitz matrix of the inverse series."""
+    c = tuple(column)
+    n = len(c)
+    return IntMatrix(tuple(c[i::-1] + (0,) * (n - 1 - i) for i in range(n)), LOWER)
+
+
 def partition_matrix(n: int) -> IntMatrix:
     """Lower Toeplitz matrix with entry p(i - j): every column repeats the
     partition counts shifted one row down."""
-    return from_cell(n, lambda i, j: counting.p(i - j) if i >= j else 0, LOWER)
+    return toeplitz([counting.p(m) for m in range(n)])
 
 
 def euler_matrix(n: int) -> IntMatrix:
     """Lower Toeplitz matrix of Euler-product coefficients e(i - j); the
     exact inverse of :func:`partition_matrix`."""
-    return from_cell(n, lambda i, j: series.euler_coefficient(i - j) if i >= j else 0, LOWER)
+    return toeplitz(series.euler_product(max(n - 1, 0)).coefficients[:n])
 
 
 # -- the counting tables as matrices and their inverses ---------------------
@@ -162,8 +175,13 @@ def inverse_exact_parts_matrix(n: int) -> IntMatrix:
 
 def inverse_unit_diff_matrix(n: int) -> IntMatrix:
     """Inverse of the unit-diff table; also equals the lower summation
-    matrix times the Euler matrix, column-shift structure included."""
-    return invert_unitriangular(unit_diff_matrix(n))
+    matrix times the Euler matrix, column-shift structure included.
+
+    The table is Toeplitz with column p(m) - p(m - 1), so its inverse is
+    the Toeplitz matrix of the inverse series."""
+    column = series.TruncatedSeries(
+        tuple(counting.unit_diff_cell(m, 0) for m in range(max(n, 1))))
+    return toeplitz(column.invert().coefficients[:n])
 
 
 def table_inverses(n: int) -> dict[str, IntMatrix]:

@@ -16,7 +16,9 @@ Builders work on padded part tuples or bit masks and generate each node's
 neighbours from it directly, so a build costs time proportional to its
 edges.  Each node is labelled once; nodes are canonical text labels sorted
 lexicographically, so exports are byte-stable.  ``NODE_CAP`` and
-``EDGE_CAP`` refuse graphs too large to materialize.
+``EDGE_CAP`` refuse graphs too large to materialize: the bit variants by
+their closed-form counts before any work, the partition variants while
+their edges are collected.
 """
 
 from __future__ import annotations
@@ -176,27 +178,37 @@ def _bit_lattice(variant: str, bits: int, masks, swaps: int) -> OrbitLattice:
     return _collect(variant, {m: format(m, f"0{bits}b") for m in masks}, moves)
 
 
-def _weight_masks(bits: int, ones: int):
+def _check_size(nodes: int, degree: int) -> None:
+    """Refuse a regular graph by its node and edge counts before building
+    it; the bit variants' edge count is nodes * degree / 2."""
+    if nodes > NODE_CAP:
+        raise ValueError(f"node count {nodes} exceeds the cap {NODE_CAP}")
+    edges = nodes * degree // 2
+    if edges > EDGE_CAP:
+        raise ValueError(f"edge count exceeds the cap {EDGE_CAP}: {edges} edges")
+
+
+def _weight_masks(bits: int, ones: int, swaps: int):
+    """The ``bits``-bit masks with ``ones`` ones, checked against the caps
+    for edges that swap ``swaps`` ones with as many zeros."""
     if bits < 1 or not 0 <= ones <= bits:
         raise ValueError("need bits >= 1 and 0 <= ones <= bits")
-    if math.comb(bits, ones) > NODE_CAP:
-        raise ValueError(f"node count {math.comb(bits, ones)} exceeds the cap {NODE_CAP}")
+    _check_size(math.comb(bits, ones), math.comb(ones, swaps) * math.comb(bits - ones, swaps))
     return (sum(1 << i for i in c) for c in combinations(range(bits), ones))
 
 
 def build_subset_swap(bits: int, ones: int) -> OrbitLattice:
-    return _bit_lattice("subset-swap", bits, _weight_masks(bits, ones), 1)
+    return _bit_lattice("subset-swap", bits, _weight_masks(bits, ones, 1), 1)
 
 
 def build_subset_double_swap(bits: int, ones: int) -> OrbitLattice:
-    return _bit_lattice("subset-double-swap", bits, _weight_masks(bits, ones), 2)
+    return _bit_lattice("subset-double-swap", bits, _weight_masks(bits, ones, 2), 2)
 
 
 def build_hypercube(dim: int) -> OrbitLattice:
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if 2 ** dim > NODE_CAP:
-        raise ValueError(f"node count {2 ** dim} exceeds the cap {NODE_CAP}")
+    _check_size(2 ** dim, dim)
     return _bit_lattice("hypercube", dim, range(2 ** dim), 0)
 
 

@@ -7,9 +7,21 @@ mismatched orders truncate to the smaller one.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
+
+
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be >= 0")
+
+
+def _nonzero(coefficients: Sequence[int], order: int) -> list[tuple[int, int]]:
+    """The (index, coefficient) pairs with a nonzero coefficient up to
+    ``order``, by increasing index."""
+    return [(i, c) for i, c in enumerate(coefficients[: order + 1]) if c]
 
 
 @dataclass(frozen=True)
@@ -29,6 +41,7 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
+        _check_order(order)
         return cls((1,) + (0,) * order)
 
     @classmethod
@@ -37,6 +50,7 @@ class TruncatedSeries:
         fit when reps is None)."""
         if step < 1:
             raise ValueError("step must be >= 1")
+        _check_order(order)
         c = [0] * (order + 1)
         j = 0
         while j * step <= order and (reps is None or j <= reps):
@@ -60,30 +74,43 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(self[i] - other[i] for i in range(T + 1)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Product truncated to the smaller order.
+
+        Only nonzero terms are multiplied, the sparser operand in the outer
+        loop, so the cost grows with the product of the two nonzero counts:
+        O(T * nnz) for a binomial or geometric factor.
+        """
         T = min(self.order, other.order)
+        a, b = _nonzero(self.coefficients, T), _nonzero(other.coefficients, T)
+        if len(a) > len(b):
+            a, b = b, a
+        b_index = [j for j, _ in b]
         out = [0] * (T + 1)
-        for i, a in enumerate(self.coefficients[: T + 1]):
-            if a == 0:
-                continue
-            for j in range(T + 1 - i):
-                b = other.coefficients[j]
-                if b:
-                    out[i + j] += a * b
+        for i, x in a:
+            for j, y in b[: bisect_right(b_index, T - i)]:
+                out[i + j] += x * y
         return TruncatedSeries(tuple(out))
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the truncation order.
 
         Needs a unit constant term (+1 or -1) so the inverse stays integral.
+        Each coefficient sums over the nonzero terms of ``self`` only, so the
+        cost is O(T * nnz): O(T^1.5) for the Euler product.
         """
         c0 = self.coefficients[0]
         if c0 not in (1, -1):
             raise ValueError(f"constant term {c0} is not a unit")
         T = self.order
+        terms = _nonzero(self.coefficients, T)[1:]
         inv = [0] * (T + 1)
         inv[0] = c0
         for n in range(1, T + 1):
-            s = sum(self.coefficients[k] * inv[n - k] for k in range(1, n + 1))
+            s = 0
+            for k, c in terms:
+                if k > n:
+                    break
+                s += c * inv[n - k]
             inv[n] = -c0 * s
         return TruncatedSeries(tuple(inv))
 

@@ -157,6 +157,17 @@ class TestSeriesCommand:
         status, _ = run_cli("series", "--kind", "capped")
         assert status == 2
 
+    @pytest.mark.parametrize("kind", ("euler", "partition", "distinct", "distinct-signed"))
+    def test_negative_order_refused(self, kind, capsys):
+        status, text = run_cli("series", "--kind", kind, "--order", "-5")
+        assert status == 2 and text == ""
+        assert "error: order must be >= 0" in capsys.readouterr().err
+
+    def test_order_cap(self, capsys):
+        status, text = run_cli("series", "--kind", "euler", "--order", str(cli.MAX_SERIES_ORDER + 1))
+        assert status == 2 and text == ""
+        assert f"cap {cli.MAX_SERIES_ORDER}" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_passes_at_default_depth(self):

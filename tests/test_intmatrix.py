@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from partlat import counting, intmatrix
+from partlat import counting, intmatrix, series
 from partlat.intmatrix import (
     GENERAL,
     LOWER,
@@ -20,6 +22,7 @@ from partlat.intmatrix import (
     summation_inverse,
     summation_matrix,
     table_inverses,
+    toeplitz,
     unit_diff_matrix,
 )
 
@@ -103,6 +106,17 @@ class TestMultiplyInvert:
         assert a.shape_tag == UPPER
         assert multiply(a, invert_unitriangular(a)).entries == identity(8).entries
 
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_multiply_matches_schoolbook(self, rows, inner, cols, data):
+        cell = st.one_of(st.just(0), st.integers(-9, 9))
+        a = data.draw(st.lists(st.lists(cell, min_size=inner, max_size=inner),
+                               min_size=rows, max_size=rows))
+        b = data.draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                               min_size=inner, max_size=inner))
+        want = tuple(tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
+                     for i in range(rows))
+        assert multiply(from_rows(a), from_rows(b)).entries == want
+
     def test_tag_propagation(self):
         low = exact_parts_matrix(4)
         up = low.transpose()
@@ -137,6 +151,33 @@ class TestPartitionToeplitz:
                 assert a.column(j) == (0,) * j + col0[:10 - j]
 
 
+class TestToeplitzBuilder:
+    def test_small(self):
+        assert toeplitz((1, 2, 3)).entries == ((1, 0, 0), (2, 1, 0), (3, 2, 1))
+        assert toeplitz([1]).shape_tag == LOWER
+
+    @pytest.mark.parametrize("column", ((), (2, 1)))
+    def test_refuses_non_unitriangular(self, column):
+        with pytest.raises(ValueError):
+            toeplitz(column)
+
+    @pytest.mark.parametrize("make", (partition_matrix, euler_matrix, inverse_unit_diff_matrix))
+    @pytest.mark.parametrize("n", (0, -2))
+    def test_empty_sizes_refused(self, make, n):
+        with pytest.raises(ValueError, match="unitriangular matrices must be square"):
+            make(n)
+
+    def test_matches_cell_definitions(self):
+        cells = {
+            partition_matrix: lambda i, j: counting.p(i - j) if i >= j else 0,
+            euler_matrix: lambda i, j: series.euler_coefficient(i - j) if i >= j else 0,
+        }
+        for n in range(1, 61):
+            for make, cell in cells.items():
+                assert make(n) == intmatrix.from_cell(n, cell, LOWER), (make.__name__, n)
+            assert inverse_unit_diff_matrix(n) == invert_unitriangular(unit_diff_matrix(n)), n
+
+
 class TestTableInverses:
     def test_inverse_exact_block(self):
         assert inverse_exact_parts_matrix(6).entries == INVERSE_EXACT_6
@@ -149,7 +190,7 @@ class TestTableInverses:
         assert got["inverse-exact"].entries == INVERSE_EXACT_6
         assert got["inverse-unit-diff"].entries == INVERSE_UNIT_DIFF_6
 
-    @pytest.mark.parametrize("n", (6, 12, 20))
+    @pytest.mark.parametrize("n", (6, 12, 20, 60, 200))
     def test_unit_diff_inverse_is_summation_times_euler(self, n):
         composed = multiply(summation_matrix(n), euler_matrix(n))
         assert inverse_unit_diff_matrix(n).entries == composed.entries

@@ -137,6 +137,29 @@ class TestBitVariants:
         with pytest.raises(ValueError, match="edge count exceeds the cap 100"):
             build_hypercube(8)
 
+    @pytest.mark.parametrize("build", (
+        lambda: build_hypercube(8),
+        lambda: build_subset_swap(8, 4),
+        lambda: build_subset_double_swap(8, 4),
+    ))
+    def test_edge_cap_refuses_before_building(self, monkeypatch, build):
+        def collect(*_):
+            raise AssertionError("edges collected past the cap")
+
+        monkeypatch.setattr(lattices, "EDGE_CAP", 100)
+        monkeypatch.setattr(lattices, "_collect", collect)
+        with pytest.raises(ValueError, match="edge count exceeds the cap 100"):
+            build()
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_closed_form_edge_counts(self, bits):
+        assert build_hypercube(bits).edge_count == bits * 2 ** (bits - 1)
+        for ones in range(bits + 1):
+            nodes, zeros = math.comb(bits, ones), bits - ones
+            assert build_subset_swap(bits, ones).edge_count == nodes * ones * zeros // 2
+            assert (build_subset_double_swap(bits, ones).edge_count
+                    == nodes * math.comb(ones, 2) * math.comb(zeros, 2) // 2)
+
 
 class TestDispatch:
     def test_variants(self):

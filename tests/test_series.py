@@ -7,6 +7,27 @@ from partlat.oracle import ConstraintRecord, count
 from partlat.series import TruncatedSeries
 
 
+# Schoolbook references: every coefficient of both operands, zeros included.
+def schoolbook_mul(a, b):
+    T = min(len(a), len(b)) - 1
+    return tuple(sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(T + 1))
+
+
+def schoolbook_invert(c):
+    inv = [c[0]]
+    for n in range(1, len(c)):
+        inv.append(-c[0] * sum(c[k] * inv[n - k] for k in range(1, n + 1)))
+    return tuple(inv)
+
+
+# Mostly-zero coefficient lists ending in a run of 0..12 zeros.
+sparse_coefficients = st.builds(
+    lambda body, zeros: body + [0] * zeros,
+    st.lists(st.one_of(st.just(0), st.just(0), st.integers(-9, 9)), min_size=1, max_size=30),
+    st.integers(0, 12),
+)
+
+
 class TestArithmetic:
     def test_geometric_identity(self):
         one_minus_t = TruncatedSeries.from_coefficients([1, -1], 16)
@@ -40,6 +61,62 @@ class TestArithmetic:
     def test_invert_is_exact(self, tail, c0):
         s = TruncatedSeries(tuple([c0] + tail))
         assert s * s.invert() == TruncatedSeries.one(s.order)
+
+
+class TestSparseKernels:
+    @given(sparse_coefficients, sparse_coefficients)
+    def test_mul_matches_schoolbook(self, a, b):
+        got = TruncatedSeries(tuple(a)) * TruncatedSeries(tuple(b))
+        assert got.coefficients == schoolbook_mul(a, b)
+
+    @given(sparse_coefficients, st.sampled_from((1, -1)))
+    def test_invert_matches_schoolbook(self, tail, c0):
+        c = [c0] + tail
+        assert TruncatedSeries(tuple(c)).invert().coefficients == schoolbook_invert(c)
+
+    @pytest.mark.parametrize("c0", (1, -1))
+    def test_order_zero(self, c0):
+        s = TruncatedSeries((c0,))
+        assert s.invert() == s
+        assert (s * TruncatedSeries((3, 4))).coefficients == (3 * c0,)
+
+    def test_zero_series_times_anything(self):
+        zero = TruncatedSeries((0, 0, 0))
+        assert zero * TruncatedSeries((1, 2, 3, 4)) == zero
+
+
+class TestNegativeOrder:
+    @pytest.mark.parametrize("make", (
+        series.euler_product,
+        series.partition_series,
+        series.distinct_series,
+        lambda order: series.distinct_series(order, signed=True),
+        lambda order: series.capped_product([(1, 2), (3, None)], order),
+        lambda order: series.capped_product([], order),
+        TruncatedSeries.one,
+    ))
+    def test_refused(self, make):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            make(-5)
+
+
+class TestPastBruteForce:
+    """Independent checks at order 1500, far past the oracle's range."""
+
+    def test_partition_series_matches_rademacher(self):
+        numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+        ps = series.partition_series(1500)
+        for m in list(range(0, 1500, 37)) + [1499, 1500]:
+            assert ps[m] == int(numbers.partition(m)), m
+
+    def test_euler_product_support_is_generalized_pentagonal(self):
+        expected = {0: 1}
+        for k in range(1, 33):
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if g <= 1500:
+                    expected[g] = (-1) ** k
+        ep = series.euler_product(1500)
+        assert {n: c for n, c in enumerate(ep.coefficients) if c} == expected
 
 
 class TestEulerProduct:
