@@ -13,29 +13,6 @@ import sys
 from . import counting, errata, intmatrix, lattices, oracle, schemes, series, verify
 from .tables import CountTable, render
 
-TABLE_NAMES = (
-    "exact", "atmost", "odd-even-mixed", "distinct", "unit-diff",
-    "euler", "euler-inverse", "inverse-exact", "inverse-unit-diff",
-    "box", "scheme", "neighbors", "layers", "binomial",
-)
-
-TABLE_HELP = """\
-exact              partitions of m into exactly n parts (with sum column)
-atmost             partitions of m into at most n parts
-odd-even-mixed     all-odd part counts by n, plus odd/even/mixed/p sums
-distinct           distinct-part counts by n, with total and odd-even difference
-unit-diff          partitions of m with exactly n unit parts
-euler              partition Toeplitz matrix, entry p(i-j)
-euler-inverse      its exact inverse: Euler-product coefficients e(i-j)
-inverse-exact      inverse of the exactly-n-parts table
-inverse-unit-diff  inverse of the unit-diff table (= summation x euler-inverse)
-box                partitions of m inside an (edge x dim) box, per edge size
-scheme             partition scheme: largest part (rows) x part count (columns)
-neighbors          one-unit exchange edges between adjacent part-count columns
-layers             partitions of n per hook layer
-binomial           hook-frame partitions by largest part (binomial rows)
-"""
-
 # Size-cap guards for interactive use; the library itself enforces the
 # oracle and lattice caps.  At the series cap the slowest kind (a capped
 # product over every part 1..order, uncapped) takes about 2 s.
@@ -50,37 +27,42 @@ def _matrix_table(name: str, m: intmatrix.IntMatrix, base: int = 0) -> CountTabl
     return CountTable(name, "i", "j", labels, labels, m.entries, show_sums=False)
 
 
-def _build_table(args) -> CountTable:
-    name = args.name
-    if name == "exact":
-        return counting.exact_table(args.max)
-    if name == "atmost":
-        return counting.atmost_table(args.max)
-    if name == "odd-even-mixed":
-        return counting.odd_even_mixed_table(args.max)
-    if name == "distinct":
-        return counting.distinct_table(args.max)
-    if name == "unit-diff":
-        return counting.unit_diff_table(args.max)
-    if name == "euler":
-        return _matrix_table(name, intmatrix.partition_matrix(args.size))
-    if name == "euler-inverse":
-        return _matrix_table(name, intmatrix.euler_matrix(args.size))
-    if name == "inverse-exact":
-        return _matrix_table(name, intmatrix.inverse_exact_parts_matrix(args.size), base=1)
-    if name == "inverse-unit-diff":
-        return _matrix_table(name, intmatrix.inverse_unit_diff_matrix(args.size))
-    if name == "box":
-        return counting.box_table(args.edge, args.dim)
-    if name == "scheme":
-        return schemes.build_scheme(args.total)
-    if name == "neighbors":
-        return counting.right_hand_neighbor_table(args.max)
-    if name == "layers":
-        return counting.layer_table(args.max)
-    if name == "binomial":
-        return counting.binomial_table(args.max)
-    raise ValueError(name)
+# Every table: its help line and how it is built from the parsed arguments.
+TABLES = {
+    "exact": ("partitions of m into exactly n parts (with sum column)",
+              lambda a: counting.exact_table(a.max)),
+    "atmost": ("partitions of m into at most n parts",
+               lambda a: counting.atmost_table(a.max)),
+    "odd-even-mixed": ("all-odd part counts by n, plus odd/even/mixed/p sums",
+                       lambda a: counting.odd_even_mixed_table(a.max)),
+    "distinct": ("distinct-part counts by n, with total and odd-even difference",
+                 lambda a: counting.distinct_table(a.max)),
+    "unit-diff": ("partitions of m with exactly n unit parts",
+                  lambda a: counting.unit_diff_table(a.max)),
+    "euler": ("partition Toeplitz matrix, entry p(i-j)",
+              lambda a: _matrix_table("euler", intmatrix.partition_matrix(a.size))),
+    "euler-inverse": ("its exact inverse: Euler-product coefficients e(i-j)",
+                      lambda a: _matrix_table("euler-inverse", intmatrix.euler_matrix(a.size))),
+    "inverse-exact": ("inverse of the exactly-n-parts table",
+                      lambda a: _matrix_table("inverse-exact",
+                                              intmatrix.inverse_exact_parts_matrix(a.size),
+                                              base=1)),
+    "inverse-unit-diff": ("inverse of the unit-diff table (= summation x euler-inverse)",
+                          lambda a: _matrix_table("inverse-unit-diff",
+                                                  intmatrix.inverse_unit_diff_matrix(a.size))),
+    "box": ("partitions of m inside an (edge x dim) box, per edge size",
+            lambda a: counting.box_table(a.edge, a.dim)),
+    "scheme": ("partition scheme: largest part (rows) x part count (columns)",
+               lambda a: schemes.build_scheme(a.total)),
+    "neighbors": ("one-unit exchange edges between adjacent part-count columns",
+                  lambda a: counting.right_hand_neighbor_table(a.max)),
+    "layers": ("partitions of n per hook layer",
+               lambda a: counting.layer_table(a.max)),
+    "binomial": ("hook-frame partitions by largest part (binomial rows)",
+                 lambda a: counting.binomial_table(a.max)),
+}
+
+TABLE_HELP = "".join(f"{name:<18} {help_line}\n" for name, (help_line, _) in TABLES.items())
 
 
 def _cmd_table(args, out) -> int:
@@ -88,7 +70,7 @@ def _cmd_table(args, out) -> int:
         print(f"table size exceeds the cap (max {MAX_TABLE_SIZE}, size {MAX_MATRIX_SIZE})",
               file=sys.stderr)
         return 2
-    out.write(render(_build_table(args), args.format))
+    out.write(render(TABLES[args.name][1](args), args.format))
     return 0
 
 
@@ -114,16 +96,12 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_scheme(args, out) -> int:
+    table = schemes.build_scheme(args.total)
     if args.inverse:
-        inv = intmatrix.scheme_inverse(args.total)
-        table = CountTable(
-            "scheme-inverse", "m1", "n",
-            tuple(range(args.total, 0, -1)), tuple(range(1, args.total + 1)),
-            inv.entries, show_sums=False,
-        )
-        out.write(render(table, args.format))
-    else:
-        out.write(render(schemes.build_scheme(args.total), args.format))
+        inverse = intmatrix.invert_unitriangular(intmatrix.IntMatrix(table.cells, intmatrix.LOWER))
+        table = CountTable("scheme-inverse", "m1", "n", table.rows, table.cols, inverse.entries,
+                           show_sums=False)
+    out.write(render(table, args.format))
     return 0
 
 
@@ -149,23 +127,23 @@ def _parse_caps(text: str) -> list[tuple[int, int | None]]:
     return caps
 
 
+SERIES_KINDS = {
+    "euler": lambda a: series.euler_product(a.order),
+    "partition": lambda a: series.partition_series(a.order),
+    "distinct": lambda a: series.distinct_series(a.order),
+    "distinct-signed": lambda a: series.distinct_series(a.order, signed=True),
+    "capped": lambda a: series.capped_product(_parse_caps(a.caps), a.order),
+}
+
+
 def _cmd_series(args, out) -> int:
     if args.order > MAX_SERIES_ORDER:
         print(f"series order exceeds the cap {MAX_SERIES_ORDER}", file=sys.stderr)
         return 2
-    if args.kind == "euler":
-        s = series.euler_product(args.order)
-    elif args.kind == "partition":
-        s = series.partition_series(args.order)
-    elif args.kind == "distinct":
-        s = series.distinct_series(args.order)
-    elif args.kind == "distinct-signed":
-        s = series.distinct_series(args.order, signed=True)
-    else:
-        if not args.caps:
-            print("series --kind capped requires --caps", file=sys.stderr)
-            return 2
-        s = series.capped_product(_parse_caps(args.caps), args.order)
+    if args.kind == "capped" and not args.caps:
+        print("series --kind capped requires --caps", file=sys.stderr)
+        return 2
+    s = SERIES_KINDS[args.kind](args)
     out.write(" ".join(str(c) for c in s.coefficients) + "\n")
     return 0
 
@@ -203,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("table", help="emit a counting table or matrix",
                        description=TABLE_HELP,
                        formatter_class=argparse.RawDescriptionHelpFormatter)
-    t.add_argument("name", choices=TABLE_NAMES)
+    t.add_argument("name", choices=TABLES)
     t.add_argument("--max", type=int, default=6, help="largest total (row index)")
     t.add_argument("--size", type=int, default=6, help="matrix dimension")
     t.add_argument("--edge", type=int, default=3, help="box tables: largest edge size")
@@ -243,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(fn=_cmd_lattice)
 
     e = sub.add_parser("series", help="print generating-series coefficients")
-    e.add_argument("--kind", choices=("euler", "partition", "distinct", "distinct-signed", "capped"),
-                   required=True)
+    e.add_argument("--kind", choices=SERIES_KINDS, required=True)
     e.add_argument("--order", type=int, default=12,
                    help=f"truncation order (0..{MAX_SERIES_ORDER})")
     e.add_argument("--caps", help='capped products: "part:cap,..." with * for uncapped')

@@ -1,95 +1,99 @@
-"""Closed recurrences and classification tables for partition counts.
+"""Partition counts and classification tables from one polynomial kernel.
 
-Everything here is computed by memoized recurrences, independently of the
-brute-force oracle that validates it.  Two printed recurrences in the source
-tables this library reproduces are wrong as stated and are replaced by
-corrected forms (see :mod:`partlat.errata`):
+Every restricted count is a coefficient of a Gaussian polynomial
+G(a, b) = prod_{k=1..b} (1 - t^(a+k)) / (1 - t^k), which counts partitions
+inside an a x b box (Andrews, *The Theory of Partitions*, ch. 3), built by
+the iterative kernel :func:`_box_columns`; tables take every cell from one
+sweep.  ``p`` uses the pentagonal-number recurrence instead, so the two
+constructions check each other.  Nothing recurses or uses the oracle.
 
-* the exactly-N-parts recurrence needs second term ``p_exact(M - N, N)``,
-  not ``M - N - 1``;
-* the box recurrence ``p_box(m-1,n,M) + p_box(m,n-1,M)`` double counts; the
-  disjoint split used here conditions on whether all ``n`` part slots are
-  nonzero.
+The printed exactly-N-parts recurrence needs second term p_exact(M - N, N),
+not M - N - 1, and the printed box recurrence double counts where the split
+p_box(m, n-1, M) + p_box(m-1, n, M-n) (are all n slots nonzero?) does not
+(see :mod:`partlat.errata`); the tests check both as kernel identities.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from itertools import accumulate
+from operator import add, sub
+from typing import Iterator
 
 from .partitions import Partition
 from .tables import CountTable, grid_table
 
 
+def _box_columns(a: int, b: int, order: int) -> Iterator[tuple[int, ...]]:
+    """Yield t^0..t^order of G(a, 0), ..., G(a, b): partitions with parts
+    <= a and at most k parts, k = 0..b (a, b, order >= 0).  Step k multiplies
+    by 1 - t^(a+k) if a + k <= order, then divides by 1 - t^k, a running sum
+    with stride k, in at most sqrt(order) slice operations."""
+    column = [1] + [0] * order
+    yield tuple(column)
+    for k in range(1, b + 1):
+        top = a + k
+        if top <= order:  # the map reads old terms: it runs before the store
+            column[top:] = map(sub, column[top:], column)
+        if k * k <= order:  # few residue classes: sum each one
+            for r in range(k):
+                column[r::k] = accumulate(column[r::k])
+        else:  # few blocks of k: add each finished block to the next
+            for start in range(k, order + 1, k):
+                column[start:start + k] = map(add, column[start:start + k], column[start - k:start])
+        yield tuple(column)
+
+
+def _partition_numbers(order: int) -> list[int]:
+    """p(0), ..., p(order) by the pentagonal-number recurrence, filled
+    bottom-up (empty for a negative order)."""
+    pentagonal = [(g, 1 if k % 2 == 1 else -1) for k in range(1, order + 1)
+                  for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g <= order]
+    numbers = [1] if order >= 0 else []
+    for n in range(1, order + 1):
+        numbers.append(sum(sign * numbers[n - g] for g, sign in pentagonal if g <= n))
+    return numbers
+
+
 # -- base counts ---------------------------------------------------------
 
-@cache
-def p_exact(total: int, parts: int) -> int:
-    """Partitions of ``total`` into exactly ``parts`` positive parts."""
-    if total < 0 or parts < 0:
-        return 0
-    if parts == 0:
-        return 1 if total == 0 else 0
-    if total < parts:
-        return 0
-    return p_exact(total - 1, parts - 1) + p_exact(total - parts, parts)
-
-
-@cache
 def p(total: int) -> int:
     """Unrestricted partition count, by the pentagonal-number recurrence."""
-    if total < 0:
+    return _partition_numbers(total)[total] if total >= 0 else 0
+
+
+def p_box(max_part: int, max_parts: int, total: int) -> int:
+    """Partitions of ``total`` with parts <= max_part and at most
+    ``max_parts`` of them (orbits inside a box); none if a bound is
+    negative."""
+    if min(max_part, max_parts, total) < 0:
         return 0
-    if total == 0:
-        return 1
-    acc = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        if g1 > total:
-            break
-        sign = 1 if k % 2 == 1 else -1
-        acc += sign * p(total - g1)
-        g2 = k * (3 * k + 1) // 2
-        if g2 <= total:
-            acc += sign * p(total - g2)
-        k += 1
-    return acc
+    # Bounds above total change nothing; G(a, b) = G(b, a): sweep the short side.
+    short, wide = sorted((min(max_part, total), min(max_parts, total)))
+    for column in _box_columns(wide, short, total):
+        pass
+    return column[total]
 
 
-def p_row_sum(total: int) -> int:
-    """Unrestricted partition count as a sum over exact part counts."""
-    if total < 0:
-        return 0
-    return sum(p_exact(total, n) for n in range(total + 1))
-
-
-@cache
 def p_atmost(total: int, parts: int) -> int:
     """Partitions of ``total`` into at most ``parts`` parts.
 
     Stabilizes at p(total) once ``parts >= total``: adding more zero slots
     changes nothing.
     """
-    if total < 0 or parts < 0:
-        return 0
-    if parts == 0:
-        return 1 if total == 0 else 0
-    return p_atmost(total, parts - 1) + p_atmost(total - parts, parts)
+    return p_box(total, parts, total)
 
 
-@cache
-def p_box(max_part: int, max_parts: int, total: int) -> int:
-    """Partitions of ``total`` with parts <= max_part and at most
-    ``max_parts`` of them (orbits inside a box)."""
+def p_exact(total: int, parts: int) -> int:
+    """Partitions of ``total`` into exactly ``parts`` positive parts: strip
+    one unit from each part to get at most ``parts`` parts of the rest."""
+    return p_atmost(total - parts, parts)
+
+
+def p_row_sum(total: int) -> int:
+    """Unrestricted partition count as a sum over exact part counts."""
     if total < 0:
         return 0
-    if total == 0:
-        return 1
-    if max_part == 0 or max_parts == 0:
-        return 0
-    # Disjoint split: fewer than max_parts nonzero parts, or exactly
-    # max_parts of them (then strip one unit from every part).
-    return p_box(max_part, max_parts - 1, total) + p_box(max_part - 1, max_parts, total - max_parts)
+    return sum(column[total - n] for n, column in enumerate(_box_columns(total, total, total)))
 
 
 def exact_frame(largest: int, parts: int, total: int) -> int:
@@ -99,28 +103,26 @@ def exact_frame(largest: int, parts: int, total: int) -> int:
     The hook (first row plus first column) eats largest+parts-1 units; the
     rest is free inside the (largest-1) x (parts-1) box.
     """
-    if largest == 0 or parts == 0:
+    if largest <= 0 or parts <= 0:
         return 1 if largest == 0 and parts == 0 and total == 0 else 0
-    free = total - largest - parts + 1
-    if free < 0:
-        return 0
-    return p_box(largest - 1, parts - 1, free)
+    return p_box(largest - 1, parts - 1, total - largest - parts + 1)
 
 
 def p_with_largest(largest: int, total: int) -> int:
     """Partitions of ``total`` whose largest part is exactly ``largest``
-    (row sums of the partition scheme)."""
-    if largest == 0:
-        return 1 if total == 0 else 0
-    return sum(exact_frame(largest, n, total) for n in range(1, total + 1))
+    (row sums of the partition scheme), from one sweep over the interior
+    boxes (largest-1) x (n-1) for n = 1, 2, ... parts."""
+    free = total - largest
+    if largest <= 0 or free < 0:
+        return 1 if largest == 0 and total == 0 else 0
+    return sum(column[free - k] for k, column in enumerate(_box_columns(largest - 1, free, free)))
 
 
 def p_with_parts(parts: int, total: int) -> int:
     """Partitions of ``total`` into exactly ``parts`` parts, summed over the
-    largest part (column sums of the partition scheme)."""
-    if parts == 0:
-        return 1 if total == 0 else 0
-    return sum(exact_frame(m, parts, total) for m in range(1, total + 1))
+    largest part (column sums of the partition scheme); by conjugation, the
+    row sum for largest part ``parts``."""
+    return p_with_largest(parts, total)
 
 
 def p_min_part(total: int, parts: int, min_part: int) -> int:
@@ -146,75 +148,76 @@ def odd_part_count(total: int, parts: int) -> int:
 
 def odd_even_mixed(total: int) -> tuple[int, int, int, int]:
     """(all-odd, all-even, mixed, total) partition counts."""
-    odd = sum(odd_part_count(total, j) for j in range(1, total + 1))
-    even = p(total // 2) if total % 2 == 0 else 0
-    rest = p(total) - odd - even
-    return odd, even, rest, p(total)
+    if total < 1:
+        return (0, 1, 0, 1) if total == 0 else (0, 0, 0, 0)
+    return odd_even_mixed_table(total).cells[-1][-4:]
 
 
 def odd_even_mixed_table(max_total: int) -> CountTable:
+    """All-odd counts by part count, with odd/even/mixed/p sums.  Adding 1
+    to each of j odd parts of m and halving leaves at most j parts of
+    (m - j) / 2, so the counts come from one sweep."""
+    columns = list(_box_columns(max_total, max_total, max_total // 2))
+    numbers = _partition_numbers(max_total)
     cols: list = list(range(1, max_total + 1)) + ["odd", "even", "mixed", "p"]
     cells = []
     for m in range(1, max_total + 1):
-        row = [odd_part_count(m, j) for j in range(1, max_total + 1)]
-        cells.append(tuple(row) + odd_even_mixed(m))
+        odd = tuple(columns[j][(m - j) // 2] if j <= m and (m - j) % 2 == 0 else 0
+                    for j in range(1, max_total + 1))
+        even = numbers[m // 2] if m % 2 == 0 else 0
+        cells.append(odd + (sum(odd), even, numbers[m] - sum(odd) - even, numbers[m]))
     return CountTable("odd-even-mixed", "m", "n", tuple(range(1, max_total + 1)),
                       tuple(cols), tuple(cells), show_sums=False)
 
 
-@cache
 def distinct_exact(total: int, parts: int) -> int:
-    """Partitions of ``total`` into exactly ``parts`` distinct parts."""
-    if parts < 0 or total < 0:
-        return 0
-    if parts == 0:
-        return 1 if total == 0 else 0
-    if total < parts * (parts + 1) // 2:
-        return 0
-    # Strip one unit from every part: parts stay distinct, the smallest may hit zero.
-    return distinct_exact(total - parts, parts) + distinct_exact(total - parts, parts - 1)
+    """Partitions of ``total`` into exactly ``parts`` distinct parts:
+    removing the staircase parts, parts-1, ..., 1 leaves at most ``parts``
+    parts."""
+    return p_atmost(total - parts * (parts + 1) // 2, parts)
 
 
 def distinct_row(total: int) -> tuple[tuple[int, ...], int]:
     """Distinct-part counts of ``total`` by part count, and the signed
     difference (#odd part counts) - (#even part counts)."""
-    kmax = 0
-    while (kmax + 1) * (kmax + 2) // 2 <= total:
-        kmax += 1
-    counts = tuple(distinct_exact(total, k) for k in range(1, kmax + 1))
-    diff = sum(c if k % 2 == 1 else -c for k, c in enumerate(counts, start=1))
-    return counts, diff
+    if total < 1:
+        return (), 0
+    row = distinct_table(total).cells[-1]  # the last row needs every column
+    return row[:-2], row[-1]
 
 
 def distinct_table(max_total: int) -> CountTable:
     kmax = 0
     while (kmax + 1) * (kmax + 2) // 2 <= max_total:
         kmax += 1
+    columns = list(_box_columns(max_total, kmax, max_total))
     cols: list = list(range(1, kmax + 1)) + ["total", "difference"]
     cells = []
     for m in range(1, max_total + 1):
-        counts, diff = distinct_row(m)
-        padded = counts + (0,) * (kmax - len(counts))
-        cells.append(padded + (sum(counts), diff))
+        counts = tuple(columns[k][m - k * (k + 1) // 2] if k * (k + 1) // 2 <= m else 0
+                       for k in range(1, kmax + 1))
+        diff = sum(c if k % 2 == 1 else -c for k, c in enumerate(counts, start=1))
+        cells.append(counts + (sum(counts), diff))
     return CountTable("distinct", "m", "n", tuple(range(1, max_total + 1)),
                       tuple(cols), tuple(cells), show_sums=False)
 
 
 # -- unit-part differences -------------------------------------------------
 
-@cache
 def unit_diff_cell(total: int, units: int) -> int:
-    """Partitions of ``total`` with exactly ``units`` parts equal to 1."""
-    if total < 0 or units < 0 or units > total:
+    """Partitions of ``total`` with exactly ``units`` parts equal to 1:
+    remove them and forbid any further 1, p(rest) - p(rest - 1)."""
+    if units < 0 or units > total:
         return 0
-    if units == 0:
-        return p(total) - p(total - 1)
-    return unit_diff_cell(total - 1, units - 1)
+    return p(total - units) - p(total - units - 1)
 
 
 def unit_diff_table(max_total: int) -> CountTable:
+    numbers = _partition_numbers(max_total)
+    column = [q - r for q, r in zip(numbers, [0] + numbers)]  # unit_diff_cell(m, 0)
     return grid_table("unit-diff", "m", "n",
-                      range(max_total + 1), range(max_total + 1), unit_diff_cell)
+                      range(max_total + 1), range(max_total + 1),
+                      lambda m, n: column[m - n] if n <= m else 0)
 
 
 # -- trapezoid blocks ------------------------------------------------------
@@ -236,7 +239,7 @@ def neighbor_total(total: int) -> int:
     """Number of one-unit exchange edges that increase the nonzero part
     count, summed over all partitions of ``total``: equals
     p(0) + p(1) + ... + p(total - 2)."""
-    return sum(p(k) for k in range(0, total - 1))
+    return sum(_partition_numbers(total - 2))
 
 
 def right_hand_neighbor_table(max_total: int) -> CountTable:
@@ -267,13 +270,19 @@ def neighbor_difference_row(total: int) -> tuple[int, ...]:
 
 # -- hook layers -------------------------------------------------------------
 
-@cache
+def _frame_interiors(frames: int, order: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """(a, b, G(a, b) truncated at ``order``) for every interior box with
+    a + b < frames: the partitions with hook frame a + b + 1 and first row
+    a + 1, by interior size.  One sweep per first-row length."""
+    for a in range(frames):
+        for b, column in enumerate(_box_columns(a, frames - 1 - a, order)):
+            yield a, b, column
+
+
 def hook_layer_count(frame: int, interior_total: int) -> int:
     """Partitions whose hook frame has ``frame`` units and whose interior
     partitions ``interior_total``: sum over the first-row length r of the
     interior counts inside the (r-1) x (frame-r) box."""
-    if frame < 1:
-        return 0
     return sum(p_box(r - 1, frame - r, interior_total) for r in range(1, frame + 1))
 
 
@@ -287,20 +296,27 @@ def layer_count(total: int, layer: int) -> int:
 def layer_table(max_total: int) -> CountTable:
     if max_total < 1:
         raise ValueError("max_total must be >= 1")
-    kmax = max(
-        k for k in range(1, max_total + 1)
-        if any(layer_count(n, k) for n in range(1, max_total + 1))
-    )
+    # hooks[f][t] = hook_layer_count(f, t) for every frame and interior
+    # that fit in a total up to max_total.
+    hooks = [[0] * max_total for _ in range(max_total + 1)]
+    for a, b, column in _frame_interiors(max_total, max_total - 1):
+        hooks[a + b + 1] = list(map(add, hooks[a + b + 1], column))
+
+    def cell(n: int, k: int) -> int:
+        return hooks[n - k + 1][k - 1] if k <= n else 0
+
+    kmax = max(k for n in range(1, max_total + 1) for k in range(1, n + 1) if cell(n, k))
     return grid_table("layers", "n", "k",
-                      range(1, max_total + 1), range(1, kmax + 1), layer_count)
+                      range(1, max_total + 1), range(1, kmax + 1), cell)
 
 
 def diagonal_sum(frame: int) -> int:
-    """Total number of partitions (of any size) with the given hook frame."""
+    """Total number of partitions (of any size) with the given hook frame:
+    its hook layers summed over every interior size up to (frame-1)^2 / 4."""
     if frame < 1:
         raise ValueError("frame must be >= 1")
-    top = max(((frame + 1) // 2 - 1) * (frame - (frame + 1) // 2), 0)
-    return sum(hook_layer_count(frame, t) for t in range(top + 1))
+    return sum(sum(column) for a, b, column in _frame_interiors(frame, (frame - 1) ** 2 // 4)
+               if a + b + 1 == frame)
 
 
 def diagonal_power_law(frame: int) -> bool:
@@ -315,37 +331,40 @@ def binomial_row(size: int) -> tuple[int, ...]:
     as the binomial coefficients C(size-1, k-1)."""
     if size < 1:
         raise ValueError("size must be >= 1")
-    row = []
-    for k in range(1, size + 1):
-        parts = size - k + 1
-        row.append(sum(exact_frame(k, parts, t) for t in range(size, k * parts + 1)))
-    return tuple(row)
+    return binomial_table(size).row(size)
 
 
 def binomial_table(max_size: int) -> CountTable:
-    def cell(r, k):
-        return binomial_row(r)[k - 1] if k <= r else 0
-
+    """Row r, column k: every partition of the interior box (k-1) x (r-k),
+    which holds at most (r-1)^2 / 4 units."""
+    rows = [[0] * max_size for _ in range(max_size)]
+    for a, b, column in _frame_interiors(max_size, (max_size - 1) ** 2 // 4):
+        rows[a + b][a] = sum(column)
     return grid_table("binomial", "r", "k",
-                      range(1, max_size + 1), range(1, max_size + 1), cell)
+                      range(1, max_size + 1), range(1, max_size + 1),
+                      lambda r, k: rows[r - 1][k - 1])
 
 
 # -- the classic table pair ---------------------------------------------------
 
 def exact_table(max_total: int) -> CountTable:
+    columns = list(_box_columns(max_total, max_total, max_total))
     return grid_table("exact", "m", "n",
-                      range(max_total + 1), range(max_total + 1), lambda m, n: p_exact(m, n))
+                      range(max_total + 1), range(max_total + 1),
+                      lambda m, n: columns[n][m - n] if n <= m else 0)
 
 
 def atmost_table(max_total: int) -> CountTable:
+    columns = list(_box_columns(max_total, max_total, max_total))
     return grid_table("atmost", "m", "n",
                       range(max_total + 1), range(max_total + 1),
-                      lambda m, n: p_atmost(m, n), show_sums=False)
+                      lambda m, n: columns[n][m], show_sums=False)
 
 
 def box_table(edge: int, dim: int) -> CountTable:
     """Counts of partitions in cubes: rows are totals, columns edge sizes
     0..edge, each column counting inside the (e x dim) box."""
+    columns = list(_box_columns(max(dim, 0), edge, edge * dim))
     return grid_table("box", "m", "edge",
                       range(edge * dim + 1), range(edge + 1),
-                      lambda m, e: p_box(e, dim, m), show_sums=False)
+                      lambda m, e: columns[e][m] if dim >= 0 else 0, show_sums=False)

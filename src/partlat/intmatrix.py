@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from . import counting, series
+from . import counting, schemes, series
 
 GENERAL = "general"
 LOWER = "lower_unitriangular"
@@ -146,7 +146,7 @@ def toeplitz(column: Sequence[int]) -> IntMatrix:
 def partition_matrix(n: int) -> IntMatrix:
     """Lower Toeplitz matrix with entry p(i - j): every column repeats the
     partition counts shifted one row down."""
-    return toeplitz([counting.p(m) for m in range(n)])
+    return toeplitz(counting._partition_numbers(n - 1))
 
 
 def euler_matrix(n: int) -> IntMatrix:
@@ -160,13 +160,13 @@ def euler_matrix(n: int) -> IntMatrix:
 def exact_parts_matrix(n: int) -> IntMatrix:
     """Partitions-into-exactly-n-parts table as a lower unitriangular matrix
     (rows m = 1..n, columns part counts 1..n)."""
-    return from_cell(n, lambda i, j: counting.p_exact(i + 1, j + 1), LOWER)
+    return IntMatrix(tuple(row[1:] for row in counting.exact_table(n).cells[1:]), LOWER)
 
 
 def unit_diff_matrix(n: int) -> IntMatrix:
     """Unit-part difference table as a lower unitriangular matrix (rows and
     columns 0..n-1)."""
-    return from_cell(n, lambda i, j: counting.unit_diff_cell(i, j), LOWER)
+    return IntMatrix(counting.unit_diff_table(n - 1).cells, LOWER)
 
 
 def inverse_exact_parts_matrix(n: int) -> IntMatrix:
@@ -179,8 +179,8 @@ def inverse_unit_diff_matrix(n: int) -> IntMatrix:
 
     The table is Toeplitz with column p(m) - p(m - 1), so its inverse is
     the Toeplitz matrix of the inverse series."""
-    column = series.TruncatedSeries(
-        tuple(counting.unit_diff_cell(m, 0) for m in range(max(n, 1))))
+    numbers = counting._partition_numbers(max(n - 1, 0))
+    column = series.TruncatedSeries(tuple(q - r for q, r in zip(numbers, [0] + numbers)))
     return toeplitz(column.invert().coefficients[:n])
 
 
@@ -198,9 +198,7 @@ def scheme_matrix(total: int) -> IntMatrix:
     part total - i, column j holds part count j + 1.  Unit diagonal, zeros
     above: the only partition with largest part total - i and i + 1 parts is
     the hook (total - i, 1, ..., 1)."""
-    if total < 1:
-        raise ValueError("total must be >= 1")
-    return from_cell(total, lambda i, j: counting.exact_frame(total - i, j + 1, total), LOWER)
+    return IntMatrix(schemes.build_scheme(total).cells, LOWER)
 
 
 def scheme_inverse(total: int) -> IntMatrix:

@@ -17,9 +17,10 @@ def build_scheme(total: int) -> CountTable:
     the cell counts partitions with largest part m1 and exactly n parts."""
     if total < 1:
         raise ValueError("total must be >= 1")
-    rows = tuple(range(total, 0, -1))
-    cols = tuple(range(1, total + 1))
-    cells = tuple(
-        tuple(counting.exact_frame(m1, n, total) for n in cols) for m1 in rows
-    )
-    return CountTable("scheme", "m1", "n", rows, cols, cells)
+    # Largest part a + 1 and b + 1 parts leave total - a - b - 1 units for
+    # the interior box a x b: one kernel sweep per largest part.
+    cells = [[0] * total for _ in range(total)]
+    for a, b, column in counting._frame_interiors(total, total - 1):
+        cells[a][b] = column[total - 1 - a - b]
+    return CountTable("scheme", "m1", "n", tuple(range(total, 0, -1)),
+                      tuple(range(1, total + 1)), tuple(map(tuple, reversed(cells))))

@@ -207,6 +207,7 @@ def capped_product(caps: Sequence[tuple[int, int | None]], order: int) -> Trunca
     1 + t^k + ... + t^(c*k); c = None means uncapped within the truncation.
 
     With caps (k, bound) for k = 1..n this generates box-restricted counts.
+    Every cap is checked; a part value above the order builds no factor.
     """
     seen = set()
     factors = []
@@ -218,5 +219,6 @@ def capped_product(caps: Sequence[tuple[int, int | None]], order: int) -> Trunca
         seen.add(k)
         if c is not None and c < 0:
             raise ValueError(f"cap {c} must be >= 0")
-        factors.append(TruncatedSeries.geometric(k, order, c))
+        if k <= order:
+            factors.append(TruncatedSeries.geometric(k, order, c))
     return product(factors, order)

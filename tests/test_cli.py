@@ -48,7 +48,7 @@ class TestTableCommand:
         status, text = run_cli("table", "distinct", "--max", "6", "--format", "md")
         assert status == 0 and text.startswith("| m\\n |")
 
-    @pytest.mark.parametrize("name", cli.TABLE_NAMES)
+    @pytest.mark.parametrize("name", cli.TABLES)
     def test_every_table_renders(self, name):
         status, text = run_cli("table", name)
         assert status == 0 and text

@@ -1,8 +1,10 @@
 import math
+import sys
+from functools import cache
 
 import pytest
 
-from partlat import counting
+from partlat import counting, schemes
 from partlat.oracle import ConstraintRecord, classify, count
 
 # Row m=6 of the two classic tables, frozen from the printed versions.
@@ -302,3 +304,223 @@ class TestBinomialRows:
     def test_table_row_sums(self):
         t = counting.binomial_table(5)
         assert t.row_sums == (1, 2, 4, 8, 16)
+
+
+# -- the recursive definitions the kernel replaced, kept as references ------
+
+@cache
+def ref_p(total):
+    if total < 0:
+        return 0
+    if total == 0:
+        return 1
+    acc = 0
+    k = 1
+    while k * (3 * k - 1) // 2 <= total:
+        sign = 1 if k % 2 == 1 else -1
+        acc += sign * ref_p(total - k * (3 * k - 1) // 2)
+        acc += sign * ref_p(total - k * (3 * k + 1) // 2)
+        k += 1
+    return acc
+
+
+@cache
+def ref_exact(total, parts):
+    if total < 0 or parts < 0:
+        return 0
+    if parts == 0:
+        return 1 if total == 0 else 0
+    if total < parts:
+        return 0
+    return ref_exact(total - 1, parts - 1) + ref_exact(total - parts, parts)
+
+
+@cache
+def ref_atmost(total, parts):
+    if total < 0 or parts < 0:
+        return 0
+    if parts == 0:
+        return 1 if total == 0 else 0
+    return ref_atmost(total, parts - 1) + ref_atmost(total - parts, parts)
+
+
+@cache
+def ref_box(max_part, max_parts, total):
+    if total < 0:
+        return 0
+    if total == 0:
+        return 1
+    if max_part == 0 or max_parts == 0:
+        return 0
+    return ref_box(max_part, max_parts - 1, total) + ref_box(max_part - 1, max_parts, total - max_parts)
+
+
+@cache
+def ref_distinct(total, parts):
+    if parts < 0 or total < 0:
+        return 0
+    if parts == 0:
+        return 1 if total == 0 else 0
+    if total < parts * (parts + 1) // 2:
+        return 0
+    return ref_distinct(total - parts, parts) + ref_distinct(total - parts, parts - 1)
+
+
+@cache
+def ref_unit_diff(total, units):
+    if total < 0 or units < 0 or units > total:
+        return 0
+    if units == 0:
+        return ref_p(total) - ref_p(total - 1)
+    return ref_unit_diff(total - 1, units - 1)
+
+
+def ref_frame(largest, parts, total):
+    if largest == 0 or parts == 0:
+        return 1 if largest == 0 and parts == 0 and total == 0 else 0
+    return ref_box(largest - 1, parts - 1, total - largest - parts + 1)
+
+
+def ref_hook_layer(frame, interior_total):
+    return sum(ref_box(r - 1, frame - r, interior_total) for r in range(1, frame + 1))
+
+
+@pytest.fixture
+def deep_stack():
+    """Room for the references' recursion, restored afterwards."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20000))
+    yield
+    sys.setrecursionlimit(limit)
+
+
+BOX_GRID = [(a, b, t) for a in range(13) for b in range(13) for t in range(81)]
+PAIR_MAX = 120
+# Point queries each run their own sweep: a sample of part counts, at
+# every total; the tables cover the full grid from one sweep each.
+SAMPLED_PARTS = (-1, 0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 119, 120, 121)
+
+
+@cache
+def kernel_boxes():
+    return {x: counting.p_box(*x) for x in BOX_GRID}
+
+
+def ref_grid(ref, cols):
+    return tuple(tuple(ref(m, k) for k in cols) for m in range(PAIR_MAX + 1))
+
+
+class TestKernelAgainstRecursiveReferences:
+    def test_p_box(self, deep_stack):
+        assert kernel_boxes() == {x: ref_box(*x) for x in BOX_GRID}
+
+    def test_point_counts(self, deep_stack):
+        pairs = [(t, k) for t in range(-1, PAIR_MAX + 2) for k in SAMPLED_PARTS]
+        for fn, ref in ((counting.p_exact, ref_exact), (counting.p_atmost, ref_atmost),
+                        (counting.distinct_exact, ref_distinct),
+                        (counting.unit_diff_cell, ref_unit_diff)):
+            assert [fn(*x) for x in pairs] == [ref(*x) for x in pairs], fn.__name__
+
+    def test_full_grid_tables(self, deep_stack):
+        every = range(PAIR_MAX + 1)
+        assert counting.exact_table(PAIR_MAX).cells == ref_grid(ref_exact, every)
+        assert counting.atmost_table(PAIR_MAX).cells == ref_grid(ref_atmost, every)
+        assert counting.unit_diff_table(PAIR_MAX).cells == ref_grid(ref_unit_diff, every)
+        kmax = 15  # 15 distinct parts need 120 units
+        distinct = ref_grid(ref_distinct, range(1, kmax + 1))[1:]
+        assert [row[:kmax] for row in counting.distinct_table(PAIR_MAX).cells] == list(distinct)
+        odd = ref_grid(lambda m, j: ref_exact((m + j) // 2, j) if (m + j) % 2 == 0 else 0,
+                       range(1, PAIR_MAX + 1))[1:]
+        assert [row[:PAIR_MAX] for row in counting.odd_even_mixed_table(PAIR_MAX).cells] == list(odd)
+        assert counting.box_table(9, 7).cells == tuple(
+            tuple(ref_box(e, 7, m) for e in range(10)) for m in range(64))
+
+    def test_p_and_row_sums(self, deep_stack):
+        assert [counting.p(m) for m in range(-2, 301)] == [ref_p(m) for m in range(-2, 301)]
+        assert [counting.p_row_sum(m) for m in range(121)] == [ref_p(m) for m in range(121)]
+
+    def test_frame_sums(self, deep_stack):
+        for m in range(41):
+            for a in range(m + 2):
+                want = sum(ref_frame(a, n, m) for n in range(1, m + 1)) if a else int(m == 0)
+                assert counting.p_with_largest(a, m) == want
+                assert counting.p_with_parts(a, m) == want
+
+    def test_scheme_and_layers(self, deep_stack):
+        total = 45
+        assert schemes.build_scheme(total).cells == tuple(
+            tuple(ref_frame(m1, k, total) for k in range(1, total + 1))
+            for m1 in range(total, 0, -1))
+        table = counting.layer_table(40)
+        for n in table.rows:
+            for k in table.cols:
+                want = ref_hook_layer(n - k + 1, k - 1) if k <= n else 0
+                assert table.cell(n, k) == want
+        for frame in range(1, 16):
+            for t in range(30):
+                assert counting.hook_layer_count(frame, t) == ref_hook_layer(frame, t)
+
+
+class TestCorrectedRecurrencesOnTheKernel:
+    """The errata's corrected recurrences hold as identities on the
+    kernel's values; the printed forms fail (see test_errata)."""
+
+    def test_exact_parts_recurrence(self):
+        exact = counting.exact_table(PAIR_MAX).cells
+        for m in range(1, PAIR_MAX + 1):
+            for n in range(1, PAIR_MAX + 1):
+                second = exact[m - n][n] if m >= n else 0
+                assert exact[m][n] == exact[m - 1][n - 1] + second, (m, n)
+
+    def test_disjoint_box_split(self):
+        box = kernel_boxes()
+        for a, b, t in BOX_GRID:
+            if a >= 1 and b >= 1 and t >= 1:
+                rest = box[a - 1, b, t - b] if t >= b else 0
+                assert box[a, b, t] == box[a, b - 1, t] + rest, (a, b, t)
+
+
+@pytest.mark.parametrize("call", [
+    "p_box(-1, 1, 1)", "p_box(-2, 3, 5)", "p_box(2, -1, 1)", "p_box(-1, 0, 0)",
+    "exact_frame(-1, 2, 1)", "exact_frame(3, -1, 4)", "p_with_largest(-1, 3)",
+    "p_with_parts(-1, 3)", "p_atmost(3, -1)", "p_exact(3, -1)", "box_table(0, -1).cells[0][0]",
+])
+def test_negative_bound_counts_nothing(call):
+    assert eval(call, vars(counting)) == 0
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("call", [
+    "p(5000)", "p_exact(3000, 50)", "p_atmost(1000, 1000)", "p_box(300, 300, 3000)",
+    "distinct_exact(3000, 40)", "unit_diff_cell(3000, 0)", "p(499)", "p_atmost(250, 250)",
+])
+def test_cold_and_shallow_stack(call):
+    for obj in vars(counting).values():
+        getattr(obj, "cache_clear", lambda: None)()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        got = eval(call, vars(counting))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got > 0
+
+
+class TestPastBruteForce:
+    """p, p_atmost(n, n) and p_row_sum against sympy's Hardy-Ramanujan-
+    Rademacher partition numbers, independent of both constructions here."""
+
+    def test_against_rademacher(self):
+        numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+        for n in (0, 1, 2, 50, 99, 250, 499, 777, 1000, 1500, 2000, 3000, 4000):
+            assert counting.p(n) == int(numbers.partition(n)), n
+        for n in (0, 7, 120, 499, 1000, 1500):
+            want = int(numbers.partition(n))
+            assert counting.p_atmost(n, n) == want, n
+            assert counting.p_row_sum(n) == want, n

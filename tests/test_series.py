@@ -216,3 +216,13 @@ class TestCappedProduct:
     def test_rejects_nonpositive_part(self):
         with pytest.raises(ValueError):
             series.capped_product([(0, 1)], 8)
+
+    def test_parts_above_the_order_are_the_constant_one(self):
+        caps = [(k, None) for k in range(1501, 11501)]
+        assert series.capped_product(caps, 1500) == series.TruncatedSeries.one(1500)
+
+    def test_caps_above_the_order_are_still_validated(self):
+        with pytest.raises(ValueError, match="duplicate part value 2000"):
+            series.capped_product([(2000, 1), (2000, 3)], 10)
+        with pytest.raises(ValueError, match="cap -1"):
+            series.capped_product([(2000, -1)], 10)
