@@ -10,7 +10,7 @@ from .partitions import (
     from_multiplicity,
     shift_base,
 )
-from .oracle import ConstraintRecord, classify, count, enumerate_partitions
+from .oracle import ConstraintRecord, classify, count, enumerate_partitions, iter_parts
 from .tables import CountTable
 from .counting import (
     binomial_row,
@@ -80,6 +80,7 @@ __all__ = [
     "franklin_trapezoids",
     "from_multiplicity",
     "invert_unitriangular",
+    "iter_parts",
     "odd_even_mixed",
     "p",
     "p_atmost",

@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from . import counting, errata, intmatrix, lattices, oracle, schemes, series, verify
+from .partitions import label_of
 from .tables import CountTable, render
 
 # Size-cap guards for interactive use; the library itself enforces the
@@ -87,11 +88,15 @@ def _cmd_count(args, out) -> int:
         layer=args.layer,
         hook_frame=args.hook_frame,
     )
-    matches = oracle.enumerate_partitions(record)
-    if args.list:
-        for q in matches:
-            out.write(q.label() + "\n")
-    out.write(f"{len(matches)}\n")
+    if not args.list:
+        out.write(f"{oracle.count(record)}\n")
+        return 0
+    pad = record.padded_length
+    matches = 0
+    for parts in oracle.iter_parts(record):
+        out.write(label_of(parts + (0,) * (pad - len(parts))) + "\n")
+        matches += 1
+    out.write(f"{matches}\n")
     return 0
 
 

@@ -18,7 +18,7 @@ edges.  Each node is labelled once; nodes are canonical text labels sorted
 lexicographically, so exports are byte-stable.  ``NODE_CAP`` and
 ``EDGE_CAP`` refuse graphs too large to materialize: the bit variants by
 their closed-form counts before any work, the partition variants while
-their edges are collected.
+their nodes are streamed from the oracle and their edges collected.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from functools import cached_property
 from itertools import combinations
 
 from . import oracle
+from .partitions import label_of
 
 # Refuse to materialize graphs whose node or edge set is unreasonable.
 NODE_CAP = 10 ** 6
@@ -108,18 +109,18 @@ def _collect(variant: str, labels: dict, moves) -> OrbitLattice:
 
 def _partition_nodes(total: int, slots: int) -> dict[tuple[int, ...], str]:
     """Partitions of ``total`` in at most ``slots`` parts, as padded part
-    tuples mapped to their labels."""
+    tuples mapped to their labels; refused at node ``NODE_CAP + 1``."""
     if total < 0:
         raise ValueError("total must be >= 0")
     if slots < 1:
         raise ValueError("slots must be >= 1")
-    nodes = oracle.enumerate_partitions(
-        oracle.ConstraintRecord(total=total, max_parts=slots)
-    )
-    if len(nodes) > NODE_CAP:
-        raise ValueError(f"node count {len(nodes)} exceeds the cap {NODE_CAP}")
-    padded = (q.with_padding(slots) for q in nodes)
-    return {q.parts: q.label() for q in padded}
+    nodes = {}
+    for parts in oracle.iter_parts(oracle.ConstraintRecord(total=total, max_parts=slots)):
+        if len(nodes) == NODE_CAP:
+            raise ValueError(f"node count exceeds the cap {NODE_CAP}")
+        padded = parts + (0,) * (slots - len(parts))
+        nodes[padded] = label_of(padded)
+    return nodes
 
 
 def _unit_moves(parts: tuple[int, ...]):

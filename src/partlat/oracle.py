@@ -1,21 +1,32 @@
 """Brute-force partition enumeration under constraint records.
 
 This module is the ground truth the recurrence implementations are checked
-against, so it stays deliberately simple: plain recursive descent generating
-parts largest-first, pruning only on arithmetic bounds, with every other
-constraint applied as a filter on the finished partition.
+against, so it stays independent of every counting formula.  One iterative
+walk, :func:`iter_parts`, generates the part tuples largest-first with an
+explicit stack, pruning only on arithmetic bounds (part size, slot count,
+minimum part).  The run of smallest allowed parts that ends a partition is
+emitted in one step instead of one node per part.  Every other constraint
+(exact largest part, unit count, parity, distinctness, layer, hook frame)
+is a filter on the finished tuple, built once per record from the fields
+the record sets.
+
+``count`` and ``classify`` consume the stream and build no list and no
+:class:`Partition`; ``enumerate_partitions`` wraps the same stream.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from .partitions import Partition
 
 PARITY_CHOICES = ("none", "all-odd", "all-even", "mixed", "distinct")
 
-# Enumeration above this total is refused outright; the recursion is not
-# built for large totals and a typo should not take down CI.
+# Enumeration above this total is refused outright: p(80) is 15.8 million
+# partitions (a streamed count takes about 13 s), and a typo should not
+# take down CI.
 TOTAL_CAP = 80
 
 CLASSIFIERS = (
@@ -35,7 +46,8 @@ class ConstraintRecord:
     ``max_parts``/``exact_parts`` and ``max_part``/``exact_max_part`` are
     mutually exclusive pairs.  ``unit_count`` is the exact number of parts
     equal to 1.  ``layer`` and ``hook_frame`` refer to the hook (L-frame)
-    decomposition of the Ferrers graph.
+    decomposition of the Ferrers graph; the empty partition has layer 0 and
+    hook frame 0.
     """
 
     total: int
@@ -64,89 +76,153 @@ class ConstraintRecord:
         if self.parity not in PARITY_CHOICES:
             raise ValueError(f"unknown parity filter {self.parity!r}")
 
+    @property
+    def padded_length(self) -> int:
+        """Length the matches are zero-padded to: the part-count bound when
+        the record sets one, else 0 (no padding)."""
+        if self.exact_parts is not None:
+            return self.exact_parts
+        if self.max_parts is not None:
+            return self.max_parts
+        return 0
+
+
+def _residues(parts: tuple[int, ...]) -> set[int]:
+    """The residues mod 2 that occur among the parts."""
+    return {v % 2 for v in parts}
+
 
 def parity_class(parts: tuple[int, ...]) -> str:
     """'odd', 'even' or 'mixed'; the empty partition counts as 'even'."""
-    odd = any(v % 2 == 1 for v in parts)
-    even = any(v % 2 == 0 for v in parts)
-    if odd and even:
+    residues = _residues(parts)
+    if len(residues) == 2:
         return "mixed"
-    if odd:
-        return "odd"
-    return "even"
+    return "odd" if residues == {1} else "even"
 
 
-def _keeps(c: ConstraintRecord, parts: tuple[int, ...]) -> bool:
-    if c.exact_max_part is not None:
-        largest = parts[0] if parts else 0
-        if largest != c.exact_max_part:
-            return False
-    if c.unit_count is not None and parts.count(1) != c.unit_count:
-        return False
-    if c.parity == "all-odd" and any(v % 2 == 0 for v in parts):
-        return False
-    if c.parity == "all-even" and any(v % 2 == 1 for v in parts):
-        return False
-    if c.parity == "mixed" and parity_class(parts) != "mixed":
-        return False
-    if c.parity == "distinct" and len(set(parts)) != len(parts):
-        return False
-    if c.layer is not None or c.hook_frame is not None:
-        q = Partition(parts)
-        if c.layer is not None and q.layer() != c.layer:
-            return False
-        if c.hook_frame is not None:
-            if not parts or q.hook_frame_size() != c.hook_frame:
-                return False
-    return True
+def _largest(parts: tuple[int, ...]) -> int:
+    return parts[0] if parts else 0
+
+
+def _units(parts: tuple[int, ...]) -> int:
+    return parts.count(1)
+
+
+def _layer(parts: tuple[int, ...]) -> int:
+    """1 + size of the interior (every row after the first, less its first
+    cell); 0 for the empty partition."""
+    if not parts:
+        return 0
+    return 1 + sum(v - 1 for v in parts[1:])
+
+
+def _hook_frame(parts: tuple[int, ...]) -> int:
+    """Cells in the first row plus first column; 0 for the empty partition."""
+    return parts[0] + len(parts) - 1 if parts else 0
+
+
+# Classifier name -> the key it reads from a part tuple.
+_KEYS = {
+    "exact_parts": len,
+    "largest_part": _largest,
+    "unit_count": _units,
+    "layer": _layer,
+    "hook_frame": _hook_frame,
+    "parity_class": parity_class,
+}
+
+_PARITY_FILTERS = {
+    "all-odd": lambda parts: 0 not in _residues(parts),
+    "all-even": lambda parts: 1 not in _residues(parts),
+    "mixed": lambda parts: len(_residues(parts)) == 2,
+    "distinct": lambda parts: len(set(parts)) == len(parts),
+}
+
+
+def _filters(c: ConstraintRecord) -> list:
+    """One predicate per constraint the search does not enforce, for the
+    fields ``c`` sets only."""
+    keep = []
+    for name, key in (("exact_max_part", _largest), ("unit_count", _units),
+                      ("layer", _layer), ("hook_frame", _hook_frame)):
+        want = getattr(c, name)
+        if want is not None:
+            keep.append(lambda parts, key=key, want=want: key(parts) == want)
+    if c.parity != "none":
+        keep.append(_PARITY_FILTERS[c.parity])
+    return keep
+
+
+def _walk(total: int, hi: int, lo: int, slots: int, exact: bool) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``total`` into parts in [lo, hi], at most ``slots`` of
+    them (exactly ``slots`` when ``exact``), in decreasing lexicographic order.
+
+    ``stack`` holds the parts placed so far; ``v`` is the next value to try
+    in the slot after them.  Descending places ``v``; backtracking pops the
+    last part ``x`` and tries ``x - 1`` in its slot.
+    """
+    if total == 0:
+        if not exact or slots == 0:
+            yield ()
+        return
+    stack: list[int] = []
+    remaining = total
+    v = min(hi, total)
+    while True:
+        left = slots - len(stack)
+        if exact:
+            # Every later slot needs at least ``lo``.
+            v = min(v, remaining - (left - 1) * lo)
+        # A dead end when no slot is free, ``v`` is below ``lo`` or even
+        # ``left`` copies of ``v`` cannot hold what remains.
+        if left and v >= lo and v * left >= remaining:
+            if v > lo:
+                stack.append(v)
+                remaining -= v
+                if remaining:
+                    v = min(v, remaining)
+                    continue
+                yield tuple(stack)
+            elif remaining % lo == 0:
+                # Only copies of ``lo`` are left to place, and the test
+                # above makes them fit the slots (fill them, when exact).
+                yield tuple(stack) + (lo,) * (remaining // lo)
+        if not stack:
+            return
+        x = stack.pop()
+        remaining += x
+        v = x - 1
+
+
+def iter_parts(c: ConstraintRecord) -> Iterator[tuple[int, ...]]:
+    """Nonzero part tuples of every matching partition, once each, in
+    decreasing lexicographic order, generated lazily."""
+    if c.total > TOTAL_CAP:
+        raise ValueError(f"total {c.total} exceeds the enumeration cap {TOTAL_CAP}")
+    if c.exact_parts is not None:
+        slots, exact = c.exact_parts, True
+    else:
+        slots = c.total if c.max_parts is None else c.max_parts
+        exact = False
+    hi = c.total
+    for bound in (c.max_part, c.exact_max_part):
+        if bound is not None:
+            hi = min(hi, bound)
+    stream = _walk(c.total, hi, max(c.min_part or 1, 1), slots, exact)
+    for keep in _filters(c):
+        stream = filter(keep, stream)
+    return stream
 
 
 def enumerate_partitions(c: ConstraintRecord) -> list[Partition]:
-    """Every matching partition, once, in decreasing lexicographic order."""
-    if c.total > TOTAL_CAP:
-        raise ValueError(f"total {c.total} exceeds the enumeration cap {TOTAL_CAP}")
-
-    if c.exact_parts is not None:
-        slots = c.exact_parts
-        exact = True
-    elif c.max_parts is not None:
-        slots = c.max_parts
-        exact = False
-    else:
-        slots = c.total
-        exact = False
-
-    hi = c.total
-    if c.max_part is not None:
-        hi = min(hi, c.max_part)
-    if c.exact_max_part is not None:
-        hi = min(hi, c.exact_max_part)
-    lo = max(c.min_part or 1, 1)
-
-    pad = slots if (c.exact_parts is not None or c.max_parts is not None) else 0
-    out: list[Partition] = []
-
-    def descend(remaining: int, bound: int, left: int, prefix: list[int]):
-        if remaining == 0:
-            if exact and len(prefix) != slots:
-                return
-            parts = tuple(prefix)
-            if _keeps(c, parts):
-                out.append(Partition(parts, max(pad, len(parts))))
-            return
-        if left == 0 or bound * left < remaining:
-            return
-        for v in range(min(bound, remaining), lo - 1, -1):
-            prefix.append(v)
-            descend(remaining - v, v, left - 1, prefix)
-            prefix.pop()
-
-    descend(c.total, hi, slots, [])
-    return out
+    """Every matching partition, once, in decreasing lexicographic order,
+    zero-padded to ``c.padded_length``."""
+    pad = c.padded_length
+    return [Partition(parts, max(pad, len(parts))) for parts in iter_parts(c)]
 
 
 def count(c: ConstraintRecord) -> int:
-    return len(enumerate_partitions(c))
+    return sum(1 for _ in iter_parts(c))
 
 
 def classify(c: ConstraintRecord, key: str) -> dict:
@@ -157,21 +233,7 @@ def classify(c: ConstraintRecord, key: str) -> dict:
     """
     if key not in CLASSIFIERS:
         raise ValueError(f"unknown classifier {key!r}; choose one of {CLASSIFIERS}")
-    raw: dict = {}
-    for q in enumerate_partitions(c):
-        if key == "exact_parts":
-            k = q.nonzero_count
-        elif key == "largest_part":
-            k = q.largest
-        elif key == "unit_count":
-            k = q.nonzero_parts.count(1)
-        elif key == "layer":
-            k = q.layer()
-        elif key == "hook_frame":
-            k = q.hook_frame_size() if q.nonzero_parts else 0
-        else:
-            k = parity_class(q.nonzero_parts)
-        raw[k] = raw.get(k, 0) + 1
+    raw = Counter(map(_KEYS[key], iter_parts(c)))
     if key == "parity_class" or not raw:
         return dict(sorted(raw.items()))
     lo, hi = min(raw), max(raw)

@@ -40,6 +40,13 @@ def canonicalize(values: Iterable[int], padded_length: int | None = None) -> "Pa
     return Partition(nonzero, padded_length)
 
 
+def label_of(parts: Sequence[int]) -> str:
+    """Canonical text label: concatenated digits while every part is < 10,
+    comma-separated values otherwise."""
+    sep = "" if max(parts, default=0) <= 9 else ","
+    return sep.join(map(str, parts))
+
+
 class Partition:
     """An integer partition with explicit zero padding.
 
@@ -100,14 +107,8 @@ class Partition:
         return f"Partition({list(self.parts)!r})"
 
     def label(self) -> str:
-        """Canonical text label: concatenated digits while every part is < 10."""
-        ps = self.parts
-        if all(p <= 9 for p in ps):
-            return "".join(str(p) for p in ps)
-        return ",".join(str(p) for p in ps)
-
-    def with_padding(self, padded_length: int) -> "Partition":
-        return Partition(self._nonzero, padded_length)
+        """Canonical text label of the padded parts; see :func:`label_of`."""
+        return label_of(self.parts)
 
     def conjugate(self) -> "Partition":
         """Column counts of the Ferrers graph (the transposed partition)."""

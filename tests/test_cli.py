@@ -86,6 +86,15 @@ class TestCountCommand:
         status, _ = run_cli("count", "--total", "90")
         assert status == 2
 
+    def test_empty_partition_has_hook_frame_zero(self):
+        assert run_cli("count", "--total", "0", "--hook-frame", "0") == (0, "1\n")
+        assert run_cli("count", "--total", "0", "--hook-frame", "0", "--list") == (0, "\n1\n")
+
+    def test_listing_pads_to_the_part_bound(self):
+        status, text = run_cli("count", "--total", "11", "--max-parts", "3",
+                               "--min-part", "4", "--list")
+        assert status == 0 and text.splitlines() == ["11,0,0", "740", "650", "3"]
+
 
 class TestSchemeCommand:
     def test_scheme_body(self):

@@ -275,3 +275,41 @@ class TestNetworkxCrossChecks:
         for a in lat.nodes:
             for b in lat.nodes:
                 assert distance(lat, a, b) == want[a][b], (a, b)
+
+
+class TestPartitionNodeCap:
+    """The partition variants stop the oracle stream at node NODE_CAP + 1."""
+
+    def _drawn(self, monkeypatch):
+        drawn = []
+        iter_parts = lattices.oracle.iter_parts
+
+        def counted(record):
+            for parts in iter_parts(record):
+                drawn.append(parts)
+                yield parts
+
+        monkeypatch.setattr(lattices.oracle, "iter_parts", counted)
+        return drawn
+
+    def test_refused_at_cap_plus_one(self, monkeypatch):
+        drawn = self._drawn(monkeypatch)
+        monkeypatch.setattr(lattices, "NODE_CAP", 21)  # p(8) = 22 nodes
+        with pytest.raises(ValueError, match="node count exceeds the cap 21"):
+            build_unit_exchange(8, 8)
+        assert len(drawn) == 22
+
+    def test_built_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(lattices, "NODE_CAP", 22)
+        assert build_split_merge(8, 8).node_count == 22
+
+    def test_stops_streaming_early(self, monkeypatch):
+        drawn = self._drawn(monkeypatch)
+        monkeypatch.setattr(lattices, "NODE_CAP", 100)
+        with pytest.raises(ValueError, match="node count exceeds the cap 100"):
+            build_unit_exchange(80, 80)
+        assert len(drawn) == 101
+
+    def test_total_cap_still_applies(self):
+        with pytest.raises(ValueError, match="exceeds the enumeration cap 80"):
+            build_unit_exchange(81, 3)

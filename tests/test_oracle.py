@@ -1,6 +1,13 @@
+import random
+import sys
+import tracemalloc
+from itertools import islice
+
 import pytest
 
-from partlat.oracle import ConstraintRecord, classify, count, enumerate_partitions
+from partlat import oracle
+from partlat.oracle import ConstraintRecord, classify, count, enumerate_partitions, iter_parts
+from partlat.partitions import Partition
 
 
 class TestRecordValidation:
@@ -122,5 +129,234 @@ class TestClassify:
     def test_buckets_cover_everything(self, total):
         qs = enumerate_partitions(ConstraintRecord(total=total))
         assert len({q.nonzero_parts for q in qs}) == len(qs)
-        for key in ("exact_parts", "largest_part", "unit_count", "layer", "parity_class"):
+        for key in ("exact_parts", "largest_part", "unit_count", "layer", "hook_frame",
+                    "parity_class"):
             assert sum(classify(ConstraintRecord(total=total), key).values()) == len(qs)
+
+
+# -- reference oracle ------------------------------------------------------------
+#
+# A test-only copy of the recursive oracle the streaming walk replaced: plain
+# recursive descent, every constraint beyond the arithmetic bounds applied to
+# the finished partition through Partition methods.  One change: the empty
+# partition has hook frame 0, as ``classify`` always counted it.
+
+def ref_keeps(c, parts):
+    if c.exact_max_part is not None:
+        largest = parts[0] if parts else 0
+        if largest != c.exact_max_part:
+            return False
+    if c.unit_count is not None and parts.count(1) != c.unit_count:
+        return False
+    if c.parity == "all-odd" and any(v % 2 == 0 for v in parts):
+        return False
+    if c.parity == "all-even" and any(v % 2 == 1 for v in parts):
+        return False
+    if c.parity == "mixed" and not (any(v % 2 for v in parts)
+                                    and any(v % 2 == 0 for v in parts)):
+        return False
+    if c.parity == "distinct" and len(set(parts)) != len(parts):
+        return False
+    q = Partition(parts)
+    if c.layer is not None and q.layer() != c.layer:
+        return False
+    if c.hook_frame is not None:
+        if (q.hook_frame_size() if parts else 0) != c.hook_frame:
+            return False
+    return True
+
+
+def ref_enumerate(c):
+    if c.exact_parts is not None:
+        slots, exact = c.exact_parts, True
+    elif c.max_parts is not None:
+        slots, exact = c.max_parts, False
+    else:
+        slots, exact = c.total, False
+    hi = c.total
+    if c.max_part is not None:
+        hi = min(hi, c.max_part)
+    if c.exact_max_part is not None:
+        hi = min(hi, c.exact_max_part)
+    lo = max(c.min_part or 1, 1)
+    pad = slots if (c.exact_parts is not None or c.max_parts is not None) else 0
+    out = []
+
+    def descend(remaining, bound, left, prefix):
+        if remaining == 0:
+            if exact and len(prefix) != slots:
+                return
+            parts = tuple(prefix)
+            if ref_keeps(c, parts):
+                out.append(Partition(parts, max(pad, len(parts))))
+            return
+        if left == 0 or bound * left < remaining:
+            return
+        for v in range(min(bound, remaining), lo - 1, -1):
+            prefix.append(v)
+            descend(remaining - v, v, left - 1, prefix)
+            prefix.pop()
+
+    descend(c.total, hi, slots, [])
+    return out
+
+
+def ref_classify(c, key):
+    raw = {}
+    for q in ref_enumerate(c):
+        parts = q.nonzero_parts
+        if key == "exact_parts":
+            k = q.nonzero_count
+        elif key == "largest_part":
+            k = q.largest
+        elif key == "unit_count":
+            k = parts.count(1)
+        elif key == "layer":
+            k = q.layer()
+        elif key == "hook_frame":
+            k = q.hook_frame_size() if parts else 0
+        else:
+            odd = any(v % 2 for v in parts)
+            even = any(v % 2 == 0 for v in parts)
+            k = "mixed" if odd and even else "odd" if odd else "even"
+        raw[k] = raw.get(k, 0) + 1
+    if key == "parity_class" or not raw:
+        return dict(sorted(raw.items()))
+    return {k: raw.get(k, 0) for k in range(min(raw), max(raw) + 1)}
+
+
+INT_FIELDS = ("max_part", "max_parts", "exact_parts", "exact_max_part", "min_part",
+              "unit_count", "layer", "hook_frame")
+EXCLUSIVE = {"max_parts": "exact_parts", "exact_parts": "max_parts",
+             "max_part": "exact_max_part", "exact_max_part": "max_part"}
+
+
+def assert_matches_reference(c, classifiers=()):
+    got, want = enumerate_partitions(c), ref_enumerate(c)
+    assert [(q.parts, q.padded_length) for q in got] == \
+        [(q.parts, q.padded_length) for q in want], c
+    assert count(c) == len(want), c
+    assert list(iter_parts(c)) == [q.nonzero_parts for q in want], c
+    for key in classifiers:
+        assert classify(c, key) == ref_classify(c, key), (c, key)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    def test_every_value_of_one_field(self, field):
+        for total in range(19):
+            for value in range(total + 3):
+                assert_matches_reference(ConstraintRecord(total=total, **{field: value}))
+
+    @pytest.mark.parametrize("parity", oracle.PARITY_CHOICES)
+    def test_every_parity(self, parity):
+        for total in range(19):
+            assert_matches_reference(ConstraintRecord(total=total, parity=parity),
+                                     oracle.CLASSIFIERS)
+            for slots in (0, 1, total // 3 + 1, total + 2):
+                assert_matches_reference(
+                    ConstraintRecord(total=total, parity=parity, max_parts=slots))
+
+    def test_seeded_random_records(self):
+        rng = random.Random(20261018)
+        for _ in range(600):
+            total = rng.randint(0, 18)
+            kw = {"total": total, "parity": rng.choice(oracle.PARITY_CHOICES)}
+            for field in rng.sample(INT_FIELDS, rng.randint(1, 4)):
+                if EXCLUSIVE.get(field) not in kw:
+                    kw[field] = rng.randint(0, total + 2)
+            assert_matches_reference(ConstraintRecord(**kw), oracle.CLASSIFIERS)
+
+    @pytest.mark.parametrize("kw", [
+        {"total": 5, "min_part": 6},
+        {"total": 0, "min_part": 3},
+        {"total": 7, "min_part": 7},
+        {"total": 6, "exact_parts": 0},
+        {"total": 0, "exact_parts": 0},
+        {"total": 0, "exact_parts": 2},
+        {"total": 6, "max_parts": 0},
+        {"total": 0, "max_parts": 0},
+        {"total": 6, "max_part": 0},
+        {"total": 6, "exact_max_part": 0},
+        {"total": 0, "exact_max_part": 0},
+        {"total": 6, "max_part": 40, "max_parts": 40},
+        {"total": 6, "exact_max_part": 40, "exact_parts": 40},
+        {"total": 9, "exact_parts": 3, "min_part": 3},
+        {"total": 9, "exact_parts": 4, "min_part": 3},
+        {"total": 12, "exact_parts": 4, "min_part": 2, "max_part": 4, "parity": "all-even"},
+        {"total": 0, "hook_frame": 0},
+        {"total": 0, "layer": 0},
+        {"total": 0, "unit_count": 0},
+        {"total": 0, "parity": "all-odd"},
+        {"total": 0, "parity": "mixed"},
+        {"total": 0, "parity": "distinct"},
+    ])
+    def test_edge_cases(self, kw):
+        assert_matches_reference(ConstraintRecord(**kw), oracle.CLASSIFIERS)
+
+
+# Classifier key -> the record field that filters on the same value.
+BUCKET_FIELDS = {
+    "largest_part": "exact_max_part",
+    "exact_parts": "exact_parts",
+    "unit_count": "unit_count",
+    "layer": "layer",
+    "hook_frame": "hook_frame",
+}
+
+
+@pytest.mark.parametrize("key", BUCKET_FIELDS)
+def test_buckets_equal_filtered_counts(key):
+    field = BUCKET_FIELDS[key]
+    for total in range(15):
+        buckets = classify(ConstraintRecord(total=total), key)
+        for value in range(total + 3):
+            assert count(ConstraintRecord(total=total, **{field: value})) == \
+                buckets.get(value, 0), (total, key, value)
+
+
+def test_empty_partition_hook_frame_is_zero():
+    assert count(ConstraintRecord(total=0, hook_frame=0)) == 1
+    assert count(ConstraintRecord(total=0, hook_frame=1)) == 0
+    assert classify(ConstraintRecord(total=0), "hook_frame") == {0: 1}
+    assert [q.parts for q in enumerate_partitions(ConstraintRecord(total=0, hook_frame=0))] \
+        == [()]
+
+
+def test_count_against_sympy():
+    numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    assert count(ConstraintRecord(total=60)) == int(numbers.partition(60)) == 966467
+
+
+def test_count_streams_without_a_list():
+    tracemalloc.start()
+    try:
+        assert count(ConstraintRecord(total=45)) == 89134
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"count(total=45) peaked at {peak} bytes"
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_walk_does_not_recurse():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 20)
+    try:
+        first = list(islice(iter_parts(ConstraintRecord(total=80)), 2000))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert first[:3] == [(80,), (79, 1), (78, 2)]
+    assert len(first) == 2000 and first == sorted(first, reverse=True)
+    assert all(sum(parts) == 80 for parts in first)
+
+
+def test_iter_parts_refuses_past_the_cap_at_the_call():
+    with pytest.raises(ValueError, match="exceeds the enumeration cap 80"):
+        iter_parts(ConstraintRecord(total=81))

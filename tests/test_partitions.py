@@ -10,6 +10,7 @@ from partlat.partitions import (
     Partition,
     canonicalize,
     from_multiplicity,
+    label_of,
     shift_base,
 )
 
@@ -250,3 +251,17 @@ class TestShiftBijection:
                 direct = {q.to_multiplicity(1).shift(r + s - 1).counts for q in qs}
                 assert shifted == direct
                 assert len(shifted) == len(qs)
+
+
+class TestLabels:
+    @pytest.mark.parametrize("parts, padded, label", [
+        ((), 0, ""),
+        ((), 3, "000"),
+        ((3, 1), 4, "3100"),
+        ((9, 9), 2, "99"),
+        ((10, 1), 3, "10,1,0"),
+        ((12,), 1, "12"),
+    ])
+    def test_digit_and_comma_rule(self, parts, padded, label):
+        assert Partition(parts, padded).label() == label
+        assert label_of(parts + (0,) * (padded - len(parts))) == label
