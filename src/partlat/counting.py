@@ -4,8 +4,10 @@ Every restricted count is a coefficient of a Gaussian polynomial
 G(a, b) = prod_{k=1..b} (1 - t^(a+k)) / (1 - t^k), which counts partitions
 inside an a x b box (Andrews, *The Theory of Partitions*, ch. 3), built by
 the iterative kernel :func:`_box_columns`; tables take every cell from one
-sweep.  ``p`` uses the pentagonal-number recurrence instead, so the two
-constructions check each other.  Nothing recurses or uses the oracle.
+sweep, the binomial table from the box recurrence summed over totals.
+``p`` uses the pentagonal-number recurrence instead, so the two
+constructions check each other.  Nothing recurses, walks a lattice or uses
+the oracle.
 
 The printed exactly-N-parts recurrence needs second term p_exact(M - N, N),
 not M - N - 1, and the printed box recurrence double counts where the split
@@ -139,13 +141,6 @@ def p_min_part(total: int, parts: int, min_part: int) -> int:
 
 # -- parity and distinct parts -------------------------------------------
 
-def odd_part_count(total: int, parts: int) -> int:
-    """Partitions of ``total`` into exactly ``parts`` odd parts."""
-    if (total + parts) % 2 == 1:
-        return 0
-    return p_exact((total + parts) // 2, parts)
-
-
 def odd_even_mixed(total: int) -> tuple[int, int, int, int]:
     """(all-odd, all-even, mixed, total) partition counts."""
     if total < 1:
@@ -244,28 +239,24 @@ def neighbor_total(total: int) -> int:
 
 def right_hand_neighbor_table(max_total: int) -> CountTable:
     """Edge counts between adjacent part-count columns of the one-unit
-    exchange lattice, per total m = 2..max_total."""
+    exchange lattice, per total m = 2..max_total.  An edge from n to n + 1
+    nonzero parts moves a unit from a part x >= 2 into a zero slot, and
+    removing one copy of x leaves a partition of m - x into n - 1 parts:
+    cell (m, n) sums p_exact(j, n - 1) over j = 0..m-2, down the exact
+    table."""
     if max_total < 2:
         raise ValueError("max_total must be >= 2")
-    from . import lattices  # deferred: lattices sits above this module
-
-    rows = tuple(range(2, max_total + 1))
-    cols = tuple(range(1, max_total))
-    cells = []
-    for m in rows:
-        counts = lattices.column_edge_counts(m)
-        cells.append(tuple(counts) + (0,) * (len(cols) - len(counts)))
-    return CountTable("neighbors", "m", "n", rows, cols, tuple(cells))
+    sums = list(accumulate(exact_table(max_total - 2).cells, lambda s, row: tuple(map(add, s, row))))
+    return grid_table("neighbors", "m", "n", range(2, max_total + 1), range(1, max_total),
+                      lambda m, n: sums[m - 2][n - 1])
 
 
 def neighbor_difference_row(total: int) -> tuple[int, ...]:
-    """Difference between consecutive neighbor-table rows (m and m-1)."""
-    from . import lattices
-
-    cur = lattices.column_edge_counts(total)
-    prev = lattices.column_edge_counts(total - 1)
-    prev = tuple(prev) + (0,) * (len(cur) - len(prev))
-    return tuple(a - b for a, b in zip(cur, prev))
+    """Difference between consecutive neighbor-table rows (m and m-1): the
+    last prefix-sum term, p_exact(m - 2, n - 1) for n = 1..m-1."""
+    if total < 3:
+        raise ValueError("total must be >= 3")
+    return exact_table(total - 2).row(total - 2)
 
 
 # -- hook layers -------------------------------------------------------------
@@ -335,14 +326,17 @@ def binomial_row(size: int) -> tuple[int, ...]:
 
 
 def binomial_table(max_size: int) -> CountTable:
-    """Row r, column k: every partition of the interior box (k-1) x (r-k),
-    which holds at most (r-1)^2 / 4 units."""
-    rows = [[0] * max_size for _ in range(max_size)]
-    for a, b, column in _frame_interiors(max_size, (max_size - 1) ** 2 // 4):
-        rows[a + b][a] = sum(column)
+    """Row r, column k: every partition inside the interior box (k-1) x (r-k),
+    of any total.  Summed over totals, the corrected box recurrence (are
+    all b slots nonzero?) reads B(a, b) = B(a, b-1) + B(a-1, b), with
+    B(0, b) = B(a, 0) = 1."""
+    boxes = [[1] * max_size for _ in range(max_size)]
+    for a in range(1, max_size):
+        for b in range(1, max_size - a):
+            boxes[a][b] = boxes[a][b - 1] + boxes[a - 1][b]
     return grid_table("binomial", "r", "k",
                       range(1, max_size + 1), range(1, max_size + 1),
-                      lambda r, k: rows[r - 1][k - 1])
+                      lambda r, k: boxes[k - 1][r - k] if k <= r else 0)
 
 
 # -- the classic table pair ---------------------------------------------------

@@ -184,13 +184,6 @@ def inverse_unit_diff_matrix(n: int) -> IntMatrix:
     return toeplitz(column.invert().coefficients[:n])
 
 
-def table_inverses(n: int) -> dict[str, IntMatrix]:
-    return {
-        "inverse-exact": inverse_exact_parts_matrix(n),
-        "inverse-unit-diff": inverse_unit_diff_matrix(n),
-    }
-
-
 # -- partition schemes -------------------------------------------------------
 
 def scheme_matrix(total: int) -> IntMatrix:

@@ -16,9 +16,9 @@ Builders work on padded part tuples or bit masks and generate each node's
 neighbours from it directly, so a build costs time proportional to its
 edges.  Each node is labelled once; nodes are canonical text labels sorted
 lexicographically, so exports are byte-stable.  ``NODE_CAP`` and
-``EDGE_CAP`` refuse graphs too large to materialize: the bit variants by
-their closed-form counts before any work, the partition variants while
-their nodes are streamed from the oracle and their edges collected.
+``EDGE_CAP`` refuse graphs too large to materialize, every variant by its
+closed-form node and edge counts before any work: binomial coefficients
+for the bit variants, box-kernel counts for the partition variants.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from . import oracle
+from . import counting, oracle
 from .partitions import label_of
 
 # Refuse to materialize graphs whose node or edge set is unreasonable.
@@ -96,28 +96,37 @@ class OrbitLattice:
 
 def _collect(variant: str, labels: dict, moves) -> OrbitLattice:
     """The lattice on ``labels`` ({node: label}) whose edges join each node
-    to the nodes ``moves(node)`` yields; refused past ``EDGE_CAP`` edges."""
+    to the nodes ``moves(node)`` yields."""
     edges: set[tuple[str, str]] = set()
     for node, label in labels.items():
         for other in moves(node):
             other = labels[other]
             edges.add((label, other) if label < other else (other, label))
-        if len(edges) > EDGE_CAP:
-            raise ValueError(f"edge count exceeds the cap {EDGE_CAP}")
     return OrbitLattice(variant, tuple(sorted(labels.values())), tuple(sorted(edges)))
 
 
 def _partition_nodes(total: int, slots: int) -> dict[tuple[int, ...], str]:
     """Partitions of ``total`` in at most ``slots`` parts, as padded part
-    tuples mapped to their labels; refused at node ``NODE_CAP + 1``."""
+    tuples mapped to their labels, checked against the caps first.
+
+    Both partition variants have the same edge count.  An edge changes two
+    slots holding x and y, x + y = k (y = 0 for a zero slot), and keeps a
+    partition of total - k in the other slots - 2.  For each k and each
+    such rest there are floor(k/2) edges: unit moves join the pairs
+    (k, 0), (k-1, 1), ... in a path, and merges join each pair with y > 0
+    to (k, 0).  One kernel sweep gives every count: columns[n][j] is
+    p_atmost(j, n)."""
     if total < 0:
         raise ValueError("total must be >= 0")
     if slots < 1:
         raise ValueError("slots must be >= 1")
+    if total > oracle.TOTAL_CAP:
+        raise ValueError(f"total {total} exceeds the enumeration cap {oracle.TOTAL_CAP}")
+    columns = list(counting._box_columns(total, min(slots, total), total))
+    rest = columns[min(slots - 2, total)] if slots > 1 else [0] * (total + 1)
+    _check_size(columns[-1][total], sum(k // 2 * rest[total - k] for k in range(2, total + 1)))
     nodes = {}
     for parts in oracle.iter_parts(oracle.ConstraintRecord(total=total, max_parts=slots)):
-        if len(nodes) == NODE_CAP:
-            raise ValueError(f"node count exceeds the cap {NODE_CAP}")
         padded = parts + (0,) * (slots - len(parts))
         nodes[padded] = label_of(padded)
     return nodes
@@ -179,14 +188,11 @@ def _bit_lattice(variant: str, bits: int, masks, swaps: int) -> OrbitLattice:
     return _collect(variant, {m: format(m, f"0{bits}b") for m in masks}, moves)
 
 
-def _check_size(nodes: int, degree: int) -> None:
-    """Refuse a regular graph by its node and edge counts before building
-    it; the bit variants' edge count is nodes * degree / 2."""
-    if nodes > NODE_CAP:
-        raise ValueError(f"node count {nodes} exceeds the cap {NODE_CAP}")
-    edges = nodes * degree // 2
-    if edges > EDGE_CAP:
-        raise ValueError(f"edge count exceeds the cap {EDGE_CAP}: {edges} edges")
+def _check_size(nodes: int, edges: int) -> None:
+    """Refuse a graph by its node and edge counts before building it."""
+    for what, size, cap in (("node", nodes, NODE_CAP), ("edge", edges, EDGE_CAP)):
+        if size > cap:
+            raise ValueError(f"{what} count exceeds the cap {cap}: {size} {what}s")
 
 
 def _weight_masks(bits: int, ones: int, swaps: int):
@@ -194,7 +200,8 @@ def _weight_masks(bits: int, ones: int, swaps: int):
     for edges that swap ``swaps`` ones with as many zeros."""
     if bits < 1 or not 0 <= ones <= bits:
         raise ValueError("need bits >= 1 and 0 <= ones <= bits")
-    _check_size(math.comb(bits, ones), math.comb(ones, swaps) * math.comb(bits - ones, swaps))
+    nodes = math.comb(bits, ones)
+    _check_size(nodes, nodes * math.comb(ones, swaps) * math.comb(bits - ones, swaps) // 2)
     return (sum(1 << i for i in c) for c in combinations(range(bits), ones))
 
 
@@ -209,7 +216,7 @@ def build_subset_double_swap(bits: int, ones: int) -> OrbitLattice:
 def build_hypercube(dim: int) -> OrbitLattice:
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    _check_size(2 ** dim, dim)
+    _check_size(2 ** dim, dim * 2 ** (dim - 1))
     return _bit_lattice("hypercube", dim, range(2 ** dim), 0)
 
 

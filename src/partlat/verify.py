@@ -99,19 +99,14 @@ def _shift_invariance(max_total):
     for m in range(1, min(max_total, 12) + 1):
         for n in range(1, 5):
             for r in range(-3, 4):
+                base_total = m - n * (r - 1)
+                if base_total < n or base_total > 25:
+                    continue
+                qs = enumerate_partitions(ConstraintRecord(total=base_total, exact_parts=n))
+                at_r = {q.to_multiplicity(1).shift(r - 1).counts for q in qs}
                 for s in range(-3, 4):
-                    base_total = m - n * (r - 1)
-                    if base_total < n or base_total > 25:
-                        continue
-                    qs = enumerate_partitions(
-                        ConstraintRecord(total=base_total, exact_parts=n))
-                    at_r = {q.to_multiplicity(1).shift(r - 1).counts for q in qs}
-                    shifted = {
-                        q.to_multiplicity(1).shift(r - 1).shift(s).counts for q in qs
-                    }
-                    direct = {
-                        q.to_multiplicity(1).shift(r + s - 1).counts for q in qs
-                    }
+                    shifted = {q.to_multiplicity(1).shift(r - 1).shift(s).counts for q in qs}
+                    direct = {q.to_multiplicity(1).shift(r + s - 1).counts for q in qs}
                     if shifted != direct or len(at_r) != len(qs):
                         return f"m={m} n={n} r={r} s={s}"
     return None
@@ -348,9 +343,14 @@ def _binomial_rows(_):
 
 
 def _neighbor_row_sums(max_total):
-    for m in range(2, min(max_total, 12) + 1):
-        if sum(lattices.column_edge_counts(m)) != counting.neighbor_total(m):
+    top = min(max_total, 12)
+    table = counting.right_hand_neighbor_table(max(top, 2))
+    for m in range(2, top + 1):
+        walked = lattices.column_edge_counts(m)
+        if sum(walked) != counting.neighbor_total(m):
             return f"m={m}"
+        if walked + (0,) * (top - m) != table.row(m):
+            return f"m={m} row"
     return None
 
 

@@ -146,6 +146,21 @@ class TestLatticeCommand:
         assert status == 2 and text == ""
         assert "total must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant,total,message", (
+        ("unit-exchange", "45", "edge count exceeds the cap 1000000: 1166600 edges"),
+        ("split-merge", "60", "edge count exceeds the cap 1000000"),
+        ("unit-exchange", "1000000000", "exceeds the enumeration cap 80"),
+    ))
+    def test_over_cap_partition_lattice_draws_nothing(self, monkeypatch, capsys,
+                                                      variant, total, message):
+        def iter_parts(record):
+            raise AssertionError("a partition was drawn")
+
+        monkeypatch.setattr(cli.lattices.oracle, "iter_parts", iter_parts)
+        status, text = run_cli("lattice", "--variant", variant, "--total", total)
+        assert status == 2 and text == ""
+        assert message in capsys.readouterr().err
+
 
 class TestSeriesCommand:
     def test_partition_series(self):

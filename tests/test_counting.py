@@ -4,7 +4,7 @@ from functools import cache
 
 import pytest
 
-from partlat import counting, schemes
+from partlat import counting, lattices, schemes
 from partlat.oracle import ConstraintRecord, classify, count
 
 # Row m=6 of the two classic tables, frozen from the printed versions.
@@ -256,6 +256,14 @@ class TestNeighborTable:
     def test_difference_row(self):
         assert counting.neighbor_difference_row(7) == (0, 1, 2, 2, 1, 1)
 
+    def test_rows_match_the_lattice_walk(self):
+        t = counting.right_hand_neighbor_table(18)
+        for m in range(2, 19):
+            assert t.row(m) == lattices.column_edge_counts(m) + (0,) * (18 - m)
+        for m in range(3, 19):
+            step = tuple(a - b for a, b in zip(t.row(m), t.row(m - 1)))
+            assert counting.neighbor_difference_row(m) == step[:m - 1]
+
 
 class TestLayers:
     def test_printed_row_fifteen(self):
@@ -304,6 +312,10 @@ class TestBinomialRows:
     def test_table_row_sums(self):
         t = counting.binomial_table(5)
         assert t.row_sums == (1, 2, 4, 8, 16)
+
+    def test_whole_table_is_pascal(self):
+        assert counting.binomial_table(60).cells == tuple(
+            tuple(math.comb(r - 1, k - 1) for k in range(1, 61)) for r in range(1, 61))
 
 
 # -- the recursive definitions the kernel replaced, kept as references ------

@@ -21,7 +21,6 @@ from partlat.intmatrix import (
     scheme_matrix,
     summation_inverse,
     summation_matrix,
-    table_inverses,
     toeplitz,
     unit_diff_matrix,
 )
@@ -184,11 +183,6 @@ class TestTableInverses:
 
     def test_inverse_unit_diff_block(self):
         assert inverse_unit_diff_matrix(6).entries == INVERSE_UNIT_DIFF_6
-
-    def test_named_set(self):
-        got = table_inverses(6)
-        assert got["inverse-exact"].entries == INVERSE_EXACT_6
-        assert got["inverse-unit-diff"].entries == INVERSE_UNIT_DIFF_6
 
     @pytest.mark.parametrize("n", (6, 12, 20, 60, 200))
     def test_unit_diff_inverse_is_summation_times_euler(self, n):

@@ -141,6 +141,8 @@ class TestBitVariants:
         lambda: build_hypercube(8),
         lambda: build_subset_swap(8, 4),
         lambda: build_subset_double_swap(8, 4),
+        lambda: build_unit_exchange(12, 12),
+        lambda: build_split_merge(12, 12),
     ))
     def test_edge_cap_refuses_before_building(self, monkeypatch, build):
         def collect(*_):
@@ -278,7 +280,8 @@ class TestNetworkxCrossChecks:
 
 
 class TestPartitionNodeCap:
-    """The partition variants stop the oracle stream at node NODE_CAP + 1."""
+    """The partition variants are refused by their closed-form node count
+    before the oracle yields a single partition."""
 
     def _drawn(self, monkeypatch):
         drawn = []
@@ -297,7 +300,7 @@ class TestPartitionNodeCap:
         monkeypatch.setattr(lattices, "NODE_CAP", 21)  # p(8) = 22 nodes
         with pytest.raises(ValueError, match="node count exceeds the cap 21"):
             build_unit_exchange(8, 8)
-        assert len(drawn) == 22
+        assert len(drawn) == 0
 
     def test_built_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(lattices, "NODE_CAP", 22)
@@ -308,8 +311,21 @@ class TestPartitionNodeCap:
         monkeypatch.setattr(lattices, "NODE_CAP", 100)
         with pytest.raises(ValueError, match="node count exceeds the cap 100"):
             build_unit_exchange(80, 80)
-        assert len(drawn) == 101
+        assert len(drawn) == 0
 
     def test_total_cap_still_applies(self):
         with pytest.raises(ValueError, match="exceeds the enumeration cap 80"):
             build_unit_exchange(81, 3)
+
+
+@pytest.mark.parametrize("total", range(19))
+def test_partition_closed_forms_match_builds(monkeypatch, total):
+    """The node and edge counts checked against the caps are the built
+    ones, and both partition variants share the edge count."""
+    sizes = []
+    check = lattices._check_size
+    monkeypatch.setattr(lattices, "_check_size", lambda n, e: sizes.append((n, e)) or check(n, e))
+    for slots in range(1, total + 3):
+        for builder in (build_unit_exchange, build_split_merge):
+            lat = builder(total, slots)
+            assert sizes.pop() == (lat.node_count, lat.edge_count), (builder.__name__, slots)
