@@ -16,7 +16,7 @@ from .tables import CountTable, render
 
 # Size-cap guards for interactive use; the library itself enforces the
 # oracle and lattice caps.  At the series cap the slowest kind (a capped
-# product over every part 1..order, uncapped) takes about 2 s.
+# product over every part 1..order, uncapped) takes about 0.2 s.
 MAX_TABLE_SIZE = 200
 MAX_MATRIX_SIZE = 500
 MAX_SERIES_ORDER = 1500

@@ -18,30 +18,24 @@ p_box(m, n-1, M) + p_box(m-1, n, M-n) (are all n slots nonzero?) does not
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import add, sub
+from operator import add
 from typing import Iterator
 
 from .partitions import Partition
+from .series import _divide_one_minus, _times_binomial
 from .tables import CountTable, grid_table
 
 
 def _box_columns(a: int, b: int, order: int) -> Iterator[tuple[int, ...]]:
     """Yield t^0..t^order of G(a, 0), ..., G(a, b): partitions with parts
     <= a and at most k parts, k = 0..b (a, b, order >= 0).  Step k multiplies
-    by 1 - t^(a+k) if a + k <= order, then divides by 1 - t^k, a running sum
-    with stride k, in at most sqrt(order) slice operations."""
+    by 1 - t^(a+k), then divides by 1 - t^k, each move a few slice
+    operations (the two kernels of :mod:`partlat.series`)."""
     column = [1] + [0] * order
     yield tuple(column)
     for k in range(1, b + 1):
-        top = a + k
-        if top <= order:  # the map reads old terms: it runs before the store
-            column[top:] = map(sub, column[top:], column)
-        if k * k <= order:  # few residue classes: sum each one
-            for r in range(k):
-                column[r::k] = accumulate(column[r::k])
-        else:  # few blocks of k: add each finished block to the next
-            for start in range(k, order + 1, k):
-                column[start:start + k] = map(add, column[start:start + k], column[start - k:start])
+        _times_binomial(column, a + k)
+        _divide_one_minus(column, k)
         yield tuple(column)
 
 
@@ -204,7 +198,9 @@ def unit_diff_cell(total: int, units: int) -> int:
     remove them and forbid any further 1, p(rest) - p(rest - 1)."""
     if units < 0 or units > total:
         return 0
-    return p(total - units) - p(total - units - 1)
+    rest = total - units
+    numbers = _partition_numbers(rest)
+    return numbers[rest] - (numbers[rest - 1] if rest else 0)
 
 
 def unit_diff_table(max_total: int) -> CountTable:

@@ -43,8 +43,8 @@ def _check_box_recurrence() -> bool:
 
 def _check_partition_matrix_offset() -> bool:
     table_column = (1, 1, 2, 3, 5, 7)
-    as_implemented = tuple(counting.p(i) for i in range(6))
-    as_printed = tuple(counting.p(i + 1) for i in range(6))
+    numbers = tuple(counting._partition_numbers(6))
+    as_implemented, as_printed = numbers[:6], numbers[1:]
     return (intmatrix.partition_matrix(6).column(0) == table_column
             and as_implemented == table_column
             and as_printed != table_column)

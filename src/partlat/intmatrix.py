@@ -3,12 +3,14 @@
 Only what the tables need: multiplication, triangular summation operators,
 lower Toeplitz matrices built from (and inverted as) power series, and
 exact inversion of the other unitriangular matrices by forward
-substitution.  No rationals, no floating point, no general elimination.
+substitution, one slice dot product per entry.  No rationals, no floating
+point, no general elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 from . import counting, schemes, series
@@ -65,10 +67,6 @@ class IntMatrix:
         return tuple(row[j] for row in self.entries)
 
 
-def from_rows(rows: Sequence[Sequence[int]], shape_tag: str = GENERAL) -> IntMatrix:
-    return IntMatrix(tuple(tuple(r) for r in rows), shape_tag)
-
-
 def identity(n: int) -> IntMatrix:
     return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
                      LOWER if n else GENERAL)
@@ -89,7 +87,12 @@ def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 def invert_unitriangular(a: IntMatrix) -> IntMatrix:
     """Exact inverse by forward substitution; rejects anything that is not
-    tagged unitriangular."""
+    tagged unitriangular.
+
+    Entry (i, j) of the lower inverse X is -sum_{k=j..i-1} A[i][k] X[k][j]:
+    the slice A[i][j:i] against column j of X from row j down, one C-level
+    dot product.  The columns of X are kept as lists that grow by one entry
+    per row, so each dot product reads one contiguous list."""
     if a.shape_tag == LOWER:
         pass
     elif a.shape_tag == UPPER:
@@ -97,16 +100,15 @@ def invert_unitriangular(a: IntMatrix) -> IntMatrix:
     else:
         raise ValueError("only unitriangular matrices are invertible here")
     n = a.rows
-    inv = [[0] * n for _ in range(n)]
-    for i in range(n):
-        inv[i][i] = 1
-        for k in range(i):
-            coeff = a.entries[i][k]
-            if coeff:
-                row = inv[k]
-                for j in range(k + 1):
-                    inv[i][j] -= coeff * row[j]
-    return IntMatrix(tuple(tuple(r) for r in inv), LOWER)
+    columns: list[list[int]] = []  # column j of X, rows j..i-1
+    inv = []
+    for i, row in enumerate(a.entries):
+        new = [-sum(map(mul, row[j:i], column)) for j, column in enumerate(columns)]
+        for column, x in zip(columns, new):
+            column.append(x)
+        columns.append([1])
+        inv.append(tuple(new) + (1,) + (0,) * (n - 1 - i))
+    return IntMatrix(tuple(inv), LOWER)
 
 
 def from_cell(n: int, cell: Callable[[int, int], int], shape_tag: str = GENERAL) -> IntMatrix:

@@ -18,7 +18,9 @@ edges.  Each node is labelled once; nodes are canonical text labels sorted
 lexicographically, so exports are byte-stable.  ``NODE_CAP`` and
 ``EDGE_CAP`` refuse graphs too large to materialize, every variant by its
 closed-form node and edge counts before any work: binomial coefficients
-for the bit variants, box-kernel counts for the partition variants.
+for the bit variants, box-kernel counts for the partition variants.  A bit
+variant whose node count passes the cap is refused from its parameters
+(2^dim, C(bits, ones)) without computing that count.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NoReturn
 
 from . import counting, oracle
 from .partitions import label_of
@@ -188,18 +191,38 @@ def _bit_lattice(variant: str, bits: int, masks, swaps: int) -> OrbitLattice:
     return _collect(variant, {m: format(m, f"0{bits}b") for m in masks}, moves)
 
 
+def _refuse(what: str, cap: int, size) -> NoReturn:
+    raise ValueError(f"{what} count exceeds the cap {cap}: {size} {what}s")
+
+
 def _check_size(nodes: int, edges: int) -> None:
     """Refuse a graph by its node and edge counts before building it."""
     for what, size, cap in (("node", nodes, NODE_CAP), ("edge", edges, EDGE_CAP)):
         if size > cap:
-            raise ValueError(f"{what} count exceeds the cap {cap}: {size} {what}s")
+            _refuse(what, cap, size)
+
+
+def _comb_exceeds(n: int, k: int, cap: int) -> bool:
+    """Whether C(n, k) > cap, without computing a C(n, k) past the cap: the
+    running product C(n-k+1, 1), C(n-k+2, 2), ... grows at each step (at
+    least doubling), so it stops once it passes the cap."""
+    k = min(k, n - k)
+    value = 1
+    for i in range(1, k + 1):
+        value = value * (n - k + i) // i
+        if value > cap:
+            return True
+    return False
 
 
 def _weight_masks(bits: int, ones: int, swaps: int):
     """The ``bits``-bit masks with ``ones`` ones, checked against the caps
-    for edges that swap ``swaps`` ones with as many zeros."""
+    for edges that swap ``swaps`` ones with as many zeros.  The node count
+    is refused from the parameters, so a huge one is never computed."""
     if bits < 1 or not 0 <= ones <= bits:
         raise ValueError("need bits >= 1 and 0 <= ones <= bits")
+    if _comb_exceeds(bits, ones, NODE_CAP):
+        _refuse("node", NODE_CAP, f"C({bits}, {ones})")
     nodes = math.comb(bits, ones)
     _check_size(nodes, nodes * math.comb(ones, swaps) * math.comb(bits - ones, swaps) // 2)
     return (sum(1 << i for i in c) for c in combinations(range(bits), ones))
@@ -216,6 +239,8 @@ def build_subset_double_swap(bits: int, ones: int) -> OrbitLattice:
 def build_hypercube(dim: int) -> OrbitLattice:
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    if dim >= NODE_CAP.bit_length():  # exactly when 2^dim > NODE_CAP
+        _refuse("node", NODE_CAP, f"2^{dim}")
     _check_size(2 ** dim, dim * 2 ** (dim - 1))
     return _bit_lattice("hypercube", dim, range(2 ** dim), 0)
 

@@ -3,6 +3,12 @@
 All series are finite coefficient vectors c_0..c_T for an explicit
 truncation order T; arithmetic never reads past T, and operations on
 mismatched orders truncate to the smaller one.
+
+Products of binomial and geometric factors are expanded in place by two
+moves on a coefficient list, each a few C-level slice operations:
+multiplying by 1 -/+ t^k (:func:`_times_binomial`) and dividing by 1 - t^k
+(:func:`_divide_one_minus`), as in the Gaussian-polynomial kernel of
+:mod:`partlat.counting` (Andrews, *The Theory of Partitions*, ch. 3).
 """
 
 from __future__ import annotations
@@ -10,12 +16,34 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
+from operator import add, sub
 from typing import Iterable, Sequence
 
 
 def _check_order(order: int) -> None:
     if order < 0:
         raise ValueError("order must be >= 0")
+
+
+def _times_binomial(c: list[int], k: int, sign: int = -1) -> None:
+    """Multiply the coefficient list ``c`` in place by 1 + sign * t^k
+    (sign -1 or +1, k >= 1), truncated at its length: one slice operation."""
+    if k < len(c):  # the map reads old terms: it runs before the store
+        c[k:] = map(add if sign > 0 else sub, c[k:], c)
+
+
+def _divide_one_minus(c: list[int], k: int) -> None:
+    """Divide the coefficient list ``c`` in place by 1 - t^k (k >= 1),
+    truncated at its length: running sums with stride k, in at most
+    sqrt(len(c)) slice operations."""
+    n = len(c)
+    if k * k < n:  # few residue classes: sum each one
+        for r in range(k):
+            c[r::k] = accumulate(c[r::k])
+    else:  # few blocks of k: add each finished block to the next
+        for start in range(k, n, k):
+            c[start:start + k] = map(add, c[start:start + k], c[start - k:start])
 
 
 def _nonzero(coefficients: Sequence[int], order: int) -> list[tuple[int, int]]:
@@ -43,20 +71,6 @@ class TruncatedSeries:
     def one(cls, order: int) -> "TruncatedSeries":
         _check_order(order)
         return cls((1,) + (0,) * order)
-
-    @classmethod
-    def geometric(cls, step: int, order: int, reps: int | None = None) -> "TruncatedSeries":
-        """1 + t^step + t^(2*step) + ... up to ``reps`` repetitions (all that
-        fit when reps is None)."""
-        if step < 1:
-            raise ValueError("step must be >= 1")
-        _check_order(order)
-        c = [0] * (order + 1)
-        j = 0
-        while j * step <= order and (reps is None or j <= reps):
-            c[j * step] = 1
-            j += 1
-        return cls(tuple(c))
 
     @property
     def order(self) -> int:
@@ -118,11 +132,14 @@ class TruncatedSeries:
         return TruncatedSeries.from_coefficients(self.coefficients, order)
 
 
-def product(factors: Sequence[TruncatedSeries], order: int) -> TruncatedSeries:
-    acc = TruncatedSeries.one(order)
-    for f in factors:
-        acc = acc * f.truncate(order)
-    return acc
+def _alternating_product(order: int, sign: int) -> TruncatedSeries:
+    """(1 + sign*t)(1 + sign*t^2)...(1 + sign*t^order), truncated, expanded
+    factor by factor in one list: O(order^2) element operations."""
+    _check_order(order)
+    c = [1] + [0] * order
+    for k in range(1, order + 1):
+        _times_binomial(c, k, sign)
+    return TruncatedSeries(tuple(c))
 
 
 @cache
@@ -130,14 +147,10 @@ def euler_product(order: int) -> TruncatedSeries:
     """(1 - t)(1 - t^2)...(1 - t^order), truncated.
 
     The nonzero coefficients sit on the generalized pentagonal numbers with
-    signs (-1)^k; that emerges from the expansion here rather than being
-    assumed.
+    signs (-1)^k; that emerges from the factor-by-factor expansion here
+    rather than being assumed.
     """
-    acc = TruncatedSeries.one(order)
-    for i in range(1, order + 1):
-        factor = TruncatedSeries.from_coefficients([1] + [0] * (i - 1) + [-1], order)
-        acc = acc * factor
-    return acc
+    return _alternating_product(order, -1)
 
 
 def euler_coefficient(n: int) -> int:
@@ -169,11 +182,7 @@ def distinct_series(order: int, signed: bool = False) -> TruncatedSeries:
     """
     if signed:
         return euler_product(order)
-    factors = [
-        TruncatedSeries.from_coefficients([1] + [0] * (k - 1) + [1], order)
-        for k in range(1, order + 1)
-    ]
-    return product(factors, order)
+    return _alternating_product(order, 1)
 
 
 def box_caps(max_part: int, max_parts: int) -> list[tuple[int, int]] | None:
@@ -207,10 +216,12 @@ def capped_product(caps: Sequence[tuple[int, int | None]], order: int) -> Trunca
     1 + t^k + ... + t^(c*k); c = None means uncapped within the truncation.
 
     With caps (k, bound) for k = 1..n this generates box-restricted counts.
-    Every cap is checked; a part value above the order builds no factor.
+    Every cap is checked; a part value above the order changes nothing.  A
+    factor is (1 - t^((c+1)k)) / (1 - t^k), expanded in place: one
+    multiplication, skipped when (c+1)k is past the order, and one division.
     """
     seen = set()
-    factors = []
+    terms = [1] + [0] * order  # [1] for a negative order, refused below
     for k, c in caps:
         if k < 1:
             raise ValueError(f"part value {k} must be >= 1")
@@ -220,5 +231,8 @@ def capped_product(caps: Sequence[tuple[int, int | None]], order: int) -> Trunca
         if c is not None and c < 0:
             raise ValueError(f"cap {c} must be >= 0")
         if k <= order:
-            factors.append(TruncatedSeries.geometric(k, order, c))
-    return product(factors, order)
+            if c is not None:
+                _times_binomial(terms, (c + 1) * k)
+            _divide_one_minus(terms, k)
+    _check_order(order)
+    return TruncatedSeries(tuple(terms))

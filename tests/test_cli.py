@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -160,6 +161,24 @@ class TestLatticeCommand:
         status, text = run_cli("lattice", "--variant", variant, "--total", total)
         assert status == 2 and text == ""
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,size", (
+        (("hypercube", "--dim", "20"), "2^20"),
+        (("hypercube", "--dim", "20000"), "2^20000"),
+        (("hypercube", "--dim", "100000000"), "2^100000000"),
+        (("subset-swap", "--bits", "20000", "--ones", "10000"), "C(20000, 10000)"),
+        (("subset-double-swap", "--bits", "2000000", "--ones", "1000000"),
+         "C(2000000, 1000000)"),
+        (("subset-swap", "--bits", "100000000", "--ones", "99999999"),
+         "C(100000000, 99999999)"),
+    ))
+    def test_over_cap_bit_lattice_refused_from_parameters(self, capsys, argv, size):
+        variant, *params = argv
+        start = time.perf_counter()
+        status, text = run_cli("lattice", "--variant", variant, *params)
+        assert time.perf_counter() - start < 1
+        assert status == 2 and text == ""
+        assert f"node count exceeds the cap 1000000: {size} nodes" in capsys.readouterr().err
 
 
 class TestSeriesCommand:

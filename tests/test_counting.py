@@ -221,6 +221,16 @@ class TestUnitDiff:
             assert counting.unit_diff_cell(m, j) == count(
                 ConstraintRecord(total=m, unit_count=j))
 
+    def test_reads_one_pentagonal_list(self, monkeypatch):
+        calls = []
+        numbers = counting._partition_numbers
+        monkeypatch.setattr(counting, "_partition_numbers",
+                            lambda order: calls.append(order) or numbers(order))
+        monkeypatch.setattr(counting, "p", None)
+        assert [counting.unit_diff_cell(9, j) for j in range(10)] == [
+            counting.unit_diff_table(9).cell(9, j) for j in range(10)]
+        assert calls[:10] == list(range(9, -1, -1))
+
 
 class TestFranklin:
     @pytest.mark.parametrize("k,sums", [(1, (1, 2)), (2, (5, 7)), (3, (12, 15))])

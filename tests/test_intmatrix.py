@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +12,6 @@ from partlat.intmatrix import (
     IntMatrix,
     euler_matrix,
     exact_parts_matrix,
-    from_rows,
     identity,
     inverse_exact_parts_matrix,
     inverse_unit_diff_matrix,
@@ -24,6 +25,11 @@ from partlat.intmatrix import (
     toeplitz,
     unit_diff_matrix,
 )
+
+
+def from_rows(rows, shape_tag=GENERAL):
+    return IntMatrix(tuple(map(tuple, rows)), shape_tag)
+
 
 # The two printed inverse tables, frozen (rows m = 1..6 / 0..5).
 INVERSE_EXACT_6 = (
@@ -188,6 +194,39 @@ class TestTableInverses:
     def test_unit_diff_inverse_is_summation_times_euler(self, n):
         composed = multiply(summation_matrix(n), euler_matrix(n))
         assert inverse_unit_diff_matrix(n).entries == composed.entries
+
+
+def substitution_inverse(a):
+    """Row-by-row forward substitution with three nested Python loops: the
+    reference for the slice kernel of ``invert_unitriangular``."""
+    if a.shape_tag == UPPER:
+        return substitution_inverse(a.transpose()).transpose()
+    n = a.rows
+    inv = [[0] * n for _ in range(n)]
+    for i in range(n):
+        inv[i][i] = 1
+        for k in range(i):
+            coeff = a.entries[i][k]
+            if coeff:
+                for j in range(k + 1):
+                    inv[i][j] -= coeff * inv[k][j]
+    return IntMatrix(tuple(map(tuple, inv)), LOWER)
+
+
+class TestSliceInverse:
+    @pytest.mark.parametrize("n", range(1, 41))
+    @pytest.mark.parametrize("tag", (LOWER, UPPER))
+    def test_matches_forward_substitution(self, n, tag):
+        rng = random.Random(n)
+        rows = [[1 if i == j else rng.choice((0, rng.randint(-50, 50))) if j < i else 0
+                 for j in range(n)] for i in range(n)]
+        a = from_rows(rows, LOWER)
+        if tag == UPPER:
+            a = a.transpose()
+        x = invert_unitriangular(a)
+        assert x.shape_tag == tag
+        assert x.entries == substitution_inverse(a).entries
+        assert multiply(a, x).entries == identity(n).entries
 
 
 class TestSchemeInverse:

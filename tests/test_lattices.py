@@ -162,6 +162,23 @@ class TestBitVariants:
             assert (build_subset_double_swap(bits, ones).edge_count
                     == nodes * math.comb(ones, 2) * math.comb(zeros, 2) // 2)
 
+    @pytest.mark.parametrize("cap", (1, 2, 3, 7, 8, 9, 20, 35, 36, 10 ** 6))
+    def test_parameter_refusal_is_the_count_refusal(self, cap):
+        """Refused from the parameters exactly when the count passes the cap."""
+        for n in range(1, 40):
+            for k in range(n + 1):
+                assert lattices._comb_exceeds(n, k, cap) == (math.comb(n, k) > cap)
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_hypercube_node_cap_boundary(self, monkeypatch, dim):
+        monkeypatch.setattr(lattices, "NODE_CAP", 2 ** dim)
+        assert build_hypercube(dim).node_count == 2 ** dim
+        with pytest.raises(ValueError, match=rf"cap {2 ** dim}: 2\^{dim + 1} nodes"):
+            build_hypercube(dim + 1)
+        monkeypatch.setattr(lattices, "NODE_CAP", 2 ** dim - 1)
+        with pytest.raises(ValueError, match=rf"cap {2 ** dim - 1}: 2\^{dim} nodes"):
+            build_hypercube(dim)
+
 
 class TestDispatch:
     def test_variants(self):

@@ -96,3 +96,11 @@ class TestSchemeStructure:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             build_scheme(0)
+
+    @pytest.mark.parametrize("total", list(range(1, 41)) + [150])
+    def test_every_cell_is_the_exact_frame_count(self, total):
+        """The truncated sweep against one point kernel call per cell."""
+        t = build_scheme(total)
+        for m1 in range(1, total + 1):
+            assert t.row(m1) == tuple(counting.exact_frame(m1, n, total)
+                                      for n in range(1, total + 1)), m1

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -226,3 +228,37 @@ class TestCappedProduct:
             series.capped_product([(2000, 1), (2000, 3)], 10)
         with pytest.raises(ValueError, match="cap -1"):
             series.capped_product([(2000, -1)], 10)
+
+
+class TestSliceKernels:
+    """The in-place expansions against constructions that share no code with
+    them: Euler's odd-part identity, the distinct table and a schoolbook
+    product of geometric factors (the Euler product meets the pentagonal
+    theorem in TestPastBruteForce)."""
+
+    def test_distinct_series_is_the_odd_part_product(self):
+        odd = [1] + [0] * 600
+        for k in range(1, 601, 2):
+            for n in range(k, 601):
+                odd[n] += odd[n - k]
+        for order in (0, 1, 2, 7, 64, 599, 600):
+            assert series.distinct_series(order).coefficients == tuple(odd[:order + 1])
+
+    def test_distinct_series_matches_the_distinct_table(self):
+        totals = counting.distinct_table(600).column("total")
+        assert series.distinct_series(600).coefficients[1:] == totals
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_capped_product_matches_geometric_factors(self, seed):
+        rng = random.Random(seed)
+        order = rng.choice((0, 1, 5, 30, 120))
+        parts = rng.sample(range(1, 160), rng.randint(0, 14))
+        caps = [(k, rng.choice((None, 0, 1, 2, 5, order + 1, 10 ** 6))) for k in parts]
+        want = [1] + [0] * order
+        for k, c in caps:
+            factor = [0] * (order + 1)
+            for j in range(0, order + 1, k):
+                if c is None or j <= c * k:
+                    factor[j] = 1
+            want = list(schoolbook_mul(want, factor))
+        assert series.capped_product(caps, order).coefficients == tuple(want)
