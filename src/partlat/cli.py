@@ -1,25 +1,84 @@
 """Command-line surface.
 
 Data goes to stdout, diagnostics to stderr.  Exit status: 0 on success, 1
-when `verify` finds a failing invariant, 2 on usage errors or size-cap
-violations.  Output is deterministic for fixed arguments.
+when `verify` finds a failing invariant, 2 on usage errors, size-cap
+violations and runs out of memory or recursion depth.  Output is
+deterministic for fixed arguments.
+
+The cost registry below is the single place the CLI defines its caps: each
+table and series kind (`TABLES`, `SERIES_KINDS`) and the `scheme` and
+`count` commands (`COMMAND_RANGES`) name the cost parameters they read,
+each with its range.  `_check_ranges` refuses a value outside its range
+before any work, and the help text is rendered from the same ranges.  The
+library's own caps (`oracle.TOTAL_CAP`, the lattice caps,
+`verify.MAX_TOTAL`) are enforced where they are; the help reads them.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from . import counting, errata, intmatrix, lattices, oracle, schemes, series, verify
 from .partitions import label_of
 from .tables import CountTable, render
 
-# Size-cap guards for interactive use; the library itself enforces the
-# oracle and lattice caps.  At the series cap the slowest kind (a capped
-# product over every part 1..order, uncapped) takes about 0.2 s.
-MAX_TABLE_SIZE = 200
-MAX_MATRIX_SIZE = 500
+
+class Range(NamedTuple):
+    """Cost parameter ``flag`` must lie in low..cap; ``value`` works it out
+    from the parsed arguments when it is not the flag's own value."""
+
+    flag: str
+    low: int
+    cap: int
+    value: Callable[[argparse.Namespace], int] | None = None
+
+    def __str__(self) -> str:
+        return f"{self.flag} {self.low}..{self.cap}"
+
+
+class Entry(NamedTuple):
+    """A table or series kind: its help line, how it is built from the
+    parsed arguments and the ranges of the cost parameters it reads."""
+
+    help: str
+    build: Callable[[argparse.Namespace], object]
+    ranges: tuple[Range, ...]
+
+
+def _check_ranges(args: argparse.Namespace, ranges: tuple[Range, ...]) -> None:
+    """Refuse the first cost parameter outside its range."""
+    for r in ranges:
+        value = r.value(args) if r.value else getattr(args, r.flag[2:])
+        if not r.low <= value <= r.cap:
+            raise ValueError(f"{r.flag} must be in {r.low}..{r.cap}")
+
+
+def _list_bound(args: argparse.Namespace) -> int:
+    """An upper bound on the partitions `count --list` prints: the box count
+    p_box over the part-size and part-count bounds, the total where one is
+    unset.  Zero without --list, and past the oracle's cap, which refuses
+    that total itself."""
+    if not args.list or args.total > oracle.TOTAL_CAP:
+        return 0
+    size = min(b for b in (args.max_part, args.exact_max_part, args.total) if b is not None)
+    parts = min(b for b in (args.max_parts, args.exact_parts, args.total) if b is not None)
+    return counting.p_box(size, parts, args.total)
+
+
+# At each cap the slowest table, series kind or command that reads it takes
+# about 2 s or less in a whole CLI child (BENCH_8.json).
 MAX_SERIES_ORDER = 1500
+TOTALS = Range("--max", 0, 200)
+SIZE = Range("--size", 1, 500)
+EDGE = Range("--edge", 0, 100)
+DIM = Range("--dim", 0, 100)
+SCHEME_TOTAL = Range("--total", 1, 400)
+ORDER = Range("--order", 0, MAX_SERIES_ORDER)
+LIST_MATCHES = Range("--list matches", 0, 100_000, _list_bound)
+
+COMMAND_RANGES = {"scheme": (SCHEME_TOTAL,), "count": (LIST_MATCHES,)}
 
 
 def _matrix_table(name: str, m: intmatrix.IntMatrix, base: int = 0) -> CountTable:
@@ -28,50 +87,54 @@ def _matrix_table(name: str, m: intmatrix.IntMatrix, base: int = 0) -> CountTabl
     return CountTable(name, "i", "j", labels, labels, m.entries, show_sums=False)
 
 
-# Every table: its help line and how it is built from the parsed arguments.
 TABLES = {
-    "exact": ("partitions of m into exactly n parts (with sum column)",
-              lambda a: counting.exact_table(a.max)),
-    "atmost": ("partitions of m into at most n parts",
-               lambda a: counting.atmost_table(a.max)),
-    "odd-even-mixed": ("all-odd part counts by n, plus odd/even/mixed/p sums",
-                       lambda a: counting.odd_even_mixed_table(a.max)),
-    "distinct": ("distinct-part counts by n, with total and odd-even difference",
-                 lambda a: counting.distinct_table(a.max)),
-    "unit-diff": ("partitions of m with exactly n unit parts",
-                  lambda a: counting.unit_diff_table(a.max)),
-    "euler": ("partition Toeplitz matrix, entry p(i-j)",
-              lambda a: _matrix_table("euler", intmatrix.partition_matrix(a.size))),
-    "euler-inverse": ("its exact inverse: Euler-product coefficients e(i-j)",
-                      lambda a: _matrix_table("euler-inverse", intmatrix.euler_matrix(a.size))),
-    "inverse-exact": ("inverse of the exactly-n-parts table",
-                      lambda a: _matrix_table("inverse-exact",
-                                              intmatrix.inverse_exact_parts_matrix(a.size),
-                                              base=1)),
-    "inverse-unit-diff": ("inverse of the unit-diff table (= summation x euler-inverse)",
-                          lambda a: _matrix_table("inverse-unit-diff",
-                                                  intmatrix.inverse_unit_diff_matrix(a.size))),
-    "box": ("partitions of m inside an (edge x dim) box, per edge size",
-            lambda a: counting.box_table(a.edge, a.dim)),
-    "scheme": ("partition scheme: largest part (rows) x part count (columns)",
-               lambda a: schemes.build_scheme(a.total)),
-    "neighbors": ("one-unit exchange edges between adjacent part-count columns",
-                  lambda a: counting.right_hand_neighbor_table(a.max)),
-    "layers": ("partitions of n per hook layer",
-               lambda a: counting.layer_table(a.max)),
-    "binomial": ("hook-frame partitions by largest part (binomial rows)",
-                 lambda a: counting.binomial_table(a.max)),
+    "exact": Entry("partitions of m into exactly n parts (with sum column)",
+                   lambda a: counting.exact_table(a.max), (TOTALS,)),
+    "atmost": Entry("partitions of m into at most n parts",
+                    lambda a: counting.atmost_table(a.max), (TOTALS,)),
+    "odd-even-mixed": Entry("all-odd part counts by n, plus odd/even/mixed/p sums",
+                            lambda a: counting.odd_even_mixed_table(a.max),
+                            (TOTALS._replace(low=1),)),
+    "distinct": Entry("distinct-part counts by n, with total and odd-even difference",
+                      lambda a: counting.distinct_table(a.max), (TOTALS._replace(low=1),)),
+    "unit-diff": Entry("partitions of m with exactly n unit parts",
+                       lambda a: counting.unit_diff_table(a.max), (TOTALS,)),
+    "euler": Entry("partition Toeplitz matrix, entry p(i-j)",
+                   lambda a: _matrix_table("euler", intmatrix.partition_matrix(a.size)), (SIZE,)),
+    "euler-inverse": Entry("its exact inverse: Euler-product coefficients e(i-j)",
+                           lambda a: _matrix_table("euler-inverse",
+                                                   intmatrix.euler_matrix(a.size)), (SIZE,)),
+    "inverse-exact": Entry("inverse of the exactly-n-parts table",
+                           lambda a: _matrix_table("inverse-exact",
+                                                   intmatrix.inverse_exact_parts_matrix(a.size),
+                                                   base=1), (SIZE,)),
+    "inverse-unit-diff": Entry("inverse of the unit-diff table (= summation x euler-inverse)",
+                               lambda a: _matrix_table("inverse-unit-diff",
+                                                       intmatrix.inverse_unit_diff_matrix(a.size)),
+                               (SIZE,)),
+    "box": Entry("partitions of m inside an (edge x dim) box, per edge size",
+                 lambda a: counting.box_table(a.edge, a.dim), (EDGE, DIM)),
+    "scheme": Entry("partition scheme: largest part (rows) x part count (columns)",
+                    lambda a: schemes.build_scheme(a.total), (SCHEME_TOTAL,)),
+    "neighbors": Entry("one-unit exchange edges between adjacent part-count columns",
+                       lambda a: counting.right_hand_neighbor_table(a.max),
+                       (TOTALS._replace(low=2),)),
+    "layers": Entry("partitions of n per hook layer",
+                    lambda a: counting.layer_table(a.max), (TOTALS._replace(low=1),)),
+    "binomial": Entry("hook-frame partitions by largest part (binomial rows)",
+                      lambda a: counting.binomial_table(a.max), (TOTALS._replace(low=1),)),
 }
 
-TABLE_HELP = "".join(f"{name:<18} {help_line}\n" for name, (help_line, _) in TABLES.items())
+
+def _registry_help(entries: dict[str, Entry]) -> str:
+    return "".join(f"{name:<18} {e.help} [{', '.join(map(str, e.ranges))}]\n"
+                   for name, e in entries.items())
 
 
 def _cmd_table(args, out) -> int:
-    if args.max > MAX_TABLE_SIZE or args.size > MAX_MATRIX_SIZE:
-        print(f"table size exceeds the cap (max {MAX_TABLE_SIZE}, size {MAX_MATRIX_SIZE})",
-              file=sys.stderr)
-        return 2
-    out.write(render(TABLES[args.name][1](args), args.format))
+    entry = TABLES[args.name]
+    _check_ranges(args, entry.ranges)
+    out.write(render(entry.build(args), args.format))
     return 0
 
 
@@ -88,6 +151,7 @@ def _cmd_count(args, out) -> int:
         layer=args.layer,
         hook_frame=args.hook_frame,
     )
+    _check_ranges(args, COMMAND_RANGES["count"])
     if not args.list:
         out.write(f"{oracle.count(record)}\n")
         return 0
@@ -101,6 +165,7 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_scheme(args, out) -> int:
+    _check_ranges(args, COMMAND_RANGES["scheme"])
     table = schemes.build_scheme(args.total)
     if args.inverse:
         inverse = intmatrix.invert_unitriangular(intmatrix.IntMatrix(table.cells, intmatrix.LOWER))
@@ -133,22 +198,26 @@ def _parse_caps(text: str) -> list[tuple[int, int | None]]:
 
 
 SERIES_KINDS = {
-    "euler": lambda a: series.euler_product(a.order),
-    "partition": lambda a: series.partition_series(a.order),
-    "distinct": lambda a: series.distinct_series(a.order),
-    "distinct-signed": lambda a: series.distinct_series(a.order, signed=True),
-    "capped": lambda a: series.capped_product(_parse_caps(a.caps), a.order),
+    "euler": Entry("Euler product (1 - t)(1 - t^2)...",
+                   lambda a: series.euler_product(a.order), (ORDER,)),
+    "partition": Entry("partition numbers p(n)",
+                       lambda a: series.partition_series(a.order), (ORDER,)),
+    "distinct": Entry("partitions into distinct parts",
+                      lambda a: series.distinct_series(a.order), (ORDER,)),
+    "distinct-signed": Entry("distinct parts, even minus odd part counts",
+                             lambda a: series.distinct_series(a.order, signed=True), (ORDER,)),
+    "capped": Entry("product over --caps of 1 + t^k + ... + t^(cap k)",
+                    lambda a: series.capped_product(_parse_caps(a.caps), a.order), (ORDER,)),
 }
 
 
 def _cmd_series(args, out) -> int:
-    if args.order > MAX_SERIES_ORDER:
-        print(f"series order exceeds the cap {MAX_SERIES_ORDER}", file=sys.stderr)
-        return 2
+    entry = SERIES_KINDS[args.kind]
+    _check_ranges(args, entry.ranges)
     if args.kind == "capped" and not args.caps:
         print("series --kind capped requires --caps", file=sys.stderr)
         return 2
-    s = SERIES_KINDS[args.kind](args)
+    s = entry.build(args)
     out.write(" ".join(str(c) for c in s.coefficients) + "\n")
     return 0
 
@@ -184,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("table", help="emit a counting table or matrix",
-                       description=TABLE_HELP,
+                       description=_registry_help(TABLES),
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     t.add_argument("name", choices=TABLES)
     t.add_argument("--max", type=int, default=6, help="largest total (row index)")
@@ -196,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=_cmd_table)
 
     c = sub.add_parser("count", help="count (or list) partitions under constraints")
-    c.add_argument("--total", type=int, required=True)
+    c.add_argument("--total", type=int, required=True,
+                   help=f"the partitioned total (0..{oracle.TOTAL_CAP})")
     c.add_argument("--max-part", type=int)
     c.add_argument("--max-parts", type=int)
     c.add_argument("--exact-parts", type=int)
@@ -206,34 +276,43 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--unit-count", type=int)
     c.add_argument("--layer", type=int)
     c.add_argument("--hook-frame", type=int)
-    c.add_argument("--list", action="store_true", help="print the partitions too")
+    c.add_argument("--list", action="store_true",
+                   help="print the partitions too (refused when a box bound on the "
+                   f"matches passes {LIST_MATCHES.cap})")
     c.set_defaults(fn=_cmd_count)
 
     s = sub.add_parser("scheme", help="emit a partition scheme or its exact inverse")
-    s.add_argument("--total", type=int, required=True)
+    s.add_argument("--total", type=int, required=True,
+                   help=f"the partitioned total ({SCHEME_TOTAL.low}..{SCHEME_TOTAL.cap})")
     s.add_argument("--inverse", action="store_true")
     s.add_argument("--format", choices=("tsv", "csv", "json", "md"), default="tsv")
     s.set_defaults(fn=_cmd_scheme)
 
     g = sub.add_parser("lattice", help="emit an orbit lattice")
     g.add_argument("--variant", choices=lattices.VARIANTS, required=True)
-    g.add_argument("--total", type=int, help="partition variants: the partitioned total")
-    g.add_argument("--slots", type=int, help="partition variants: vector dimension (default: total)")
-    g.add_argument("--bits", type=int, help="subset variants: word length")
+    g.add_argument("--total", type=int,
+                   help=f"partition variants: the partitioned total (0..{oracle.TOTAL_CAP})")
+    g.add_argument("--slots", type=int, help="partition variants: vector dimension "
+                   f"(default: total; at most {lattices.WIDTH_CAP})")
+    g.add_argument("--bits", type=int,
+                   help=f"subset variants: word length (at most {lattices.WIDTH_CAP})")
     g.add_argument("--ones", type=int, help="subset variants: number of ones")
     g.add_argument("--dim", type=int, help="hypercube dimension")
     g.add_argument("--format", choices=("edges", "dot", "json"), default="edges")
     g.set_defaults(fn=_cmd_lattice)
 
-    e = sub.add_parser("series", help="print generating-series coefficients")
+    e = sub.add_parser("series", help="print generating-series coefficients",
+                       description=_registry_help(SERIES_KINDS),
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
     e.add_argument("--kind", choices=SERIES_KINDS, required=True)
     e.add_argument("--order", type=int, default=12,
-                   help=f"truncation order (0..{MAX_SERIES_ORDER})")
+                   help=f"truncation order ({ORDER.low}..{ORDER.cap})")
     e.add_argument("--caps", help='capped products: "part:cap,..." with * for uncapped')
     e.set_defaults(fn=_cmd_series)
 
     v = sub.add_parser("verify", help="run the invariant suite and errata demonstrations")
-    v.add_argument("--max", type=int, default=12, help="largest total for exhaustive checks (1..25)")
+    v.add_argument("--max", type=int, default=12,
+                   help=f"largest total for exhaustive checks (1..{verify.MAX_TOTAL})")
     v.set_defaults(fn=_cmd_verify)
 
     r = sub.add_parser("errata", help="print the documented misprints ledger")
@@ -253,6 +332,9 @@ def run(argv: list[str], out=None) -> int:
         return args.fn(args, out if out is not None else sys.stdout)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as exc:
+        print(f"error: {exc!r}", file=sys.stderr)
         return 2
 
 

@@ -257,13 +257,21 @@ def neighbor_difference_row(total: int) -> tuple[int, ...]:
 
 # -- hook layers -------------------------------------------------------------
 
-def _frame_interiors(frames: int, order: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """(a, b, G(a, b) truncated at ``order``) for every interior box with
-    a + b < frames: the partitions with hook frame a + b + 1 and first row
-    a + 1, by interior size.  One sweep per first-row length."""
+def _frame_interiors(frames: int) -> Iterator[tuple[int, int, list[int]]]:
+    """(a, b, G(a, b) up to t^(frames - 1 - a - b)) for every interior box
+    with a + b < frames: the partitions with hook frame a + b + 1 and first
+    row a + 1, by interior size, as far as a total up to ``frames`` reads.
+    One sweep per first-row length; a term only feeds higher ones, so each
+    step drops the last term once it is yielded.  The list is reused: read
+    it before the next step."""
     for a in range(frames):
-        for b, column in enumerate(_box_columns(a, frames - 1 - a, order)):
+        column = [1] + [0] * (frames - 1 - a)
+        for b in range(frames - a):
+            if b:
+                _times_binomial(column, a + b)
+                _divide_one_minus(column, b)
             yield a, b, column
+            column.pop()
 
 
 def hook_layer_count(frame: int, interior_total: int) -> int:
@@ -284,9 +292,9 @@ def layer_table(max_total: int) -> CountTable:
     if max_total < 1:
         raise ValueError("max_total must be >= 1")
     # hooks[f][t] = hook_layer_count(f, t) for every frame and interior
-    # that fit in a total up to max_total.
+    # that fit in a total up to max_total: t <= max_total - f.
     hooks = [[0] * max_total for _ in range(max_total + 1)]
-    for a, b, column in _frame_interiors(max_total, max_total - 1):
+    for a, b, column in _frame_interiors(max_total):
         hooks[a + b + 1] = list(map(add, hooks[a + b + 1], column))
 
     def cell(n: int, k: int) -> int:
@@ -299,11 +307,17 @@ def layer_table(max_total: int) -> CountTable:
 
 def diagonal_sum(frame: int) -> int:
     """Total number of partitions (of any size) with the given hook frame:
-    its hook layers summed over every interior size up to (frame-1)^2 / 4."""
+    its hook layers summed over every interior size up to (frame-1)^2 / 4,
+    that is, the whole a x (frame - 1 - a) interior box of each first row
+    a + 1: the last column of one kernel sweep each."""
     if frame < 1:
         raise ValueError("frame must be >= 1")
-    return sum(sum(column) for a, b, column in _frame_interiors(frame, (frame - 1) ** 2 // 4)
-               if a + b + 1 == frame)
+    total = 0
+    for a in range(frame):
+        for column in _box_columns(a, frame - 1 - a, (frame - 1) ** 2 // 4):
+            pass
+        total += sum(column)
+    return total
 
 
 def diagonal_power_law(frame: int) -> bool:

@@ -20,7 +20,9 @@ lexicographically, so exports are byte-stable.  ``NODE_CAP`` and
 closed-form node and edge counts before any work: binomial coefficients
 for the bit variants, box-kernel counts for the partition variants.  A bit
 variant whose node count passes the cap is refused from its parameters
-(2^dim, C(bits, ones)) without computing that count.
+(2^dim, C(bits, ones)) without computing that count.  ``WIDTH_CAP`` then
+refuses labels of more slots or bits; a hypercube within the node cap is
+far narrower.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ from typing import NoReturn
 from . import counting, oracle
 from .partitions import label_of
 
-# Refuse to materialize graphs whose node or edge set is unreasonable.
+# Refuse to materialize graphs whose node set, edge set or labels are
+# unreasonable; a label has a character or more per slot or bit.
 NODE_CAP = 10 ** 6
 EDGE_CAP = 10 ** 6
+WIDTH_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,7 @@ def _partition_nodes(total: int, slots: int) -> dict[tuple[int, ...], str]:
     columns = list(counting._box_columns(total, min(slots, total), total))
     rest = columns[min(slots - 2, total)] if slots > 1 else [0] * (total + 1)
     _check_size(columns[-1][total], sum(k // 2 * rest[total - k] for k in range(2, total + 1)))
+    _check_width(slots)
     nodes = {}
     for parts in oracle.iter_parts(oracle.ConstraintRecord(total=total, max_parts=slots)):
         padded = parts + (0,) * (slots - len(parts))
@@ -184,8 +189,12 @@ def _bit_lattice(variant: str, bits: int, masks, swaps: int) -> OrbitLattice:
     def moves(mask: int):
         if not swaps:
             return (mask ^ f for f in flips)
-        ones = [sum(c) for c in combinations([f for f in flips if mask & f], swaps)]
-        zeros = [sum(c) for c in combinations([f for f in flips if not mask & f], swaps)]
+        set_bits = [f for f in flips if mask & f]
+        clear_bits = [f for f in flips if not mask & f]
+        if min(len(set_bits), len(clear_bits)) < swaps:
+            return ()
+        ones = [sum(c) for c in combinations(set_bits, swaps)]
+        zeros = [sum(c) for c in combinations(clear_bits, swaps)]
         return (mask ^ a ^ b for a in ones for b in zeros)
 
     return _collect(variant, {m: format(m, f"0{bits}b") for m in masks}, moves)
@@ -200,6 +209,13 @@ def _check_size(nodes: int, edges: int) -> None:
     for what, size, cap in (("node", nodes, NODE_CAP), ("edge", edges, EDGE_CAP)):
         if size > cap:
             _refuse(what, cap, size)
+
+
+def _check_width(width: int) -> None:
+    """Refuse labels of more than ``WIDTH_CAP`` slots or bits, which cost
+    time and memory on every node and edge however few there are."""
+    if width > WIDTH_CAP:
+        raise ValueError(f"label width {width} exceeds the cap {WIDTH_CAP}")
 
 
 def _comb_exceeds(n: int, k: int, cap: int) -> bool:
@@ -225,6 +241,7 @@ def _weight_masks(bits: int, ones: int, swaps: int):
         _refuse("node", NODE_CAP, f"C({bits}, {ones})")
     nodes = math.comb(bits, ones)
     _check_size(nodes, nodes * math.comb(ones, swaps) * math.comb(bits - ones, swaps) // 2)
+    _check_width(bits)
     return (sum(1 << i for i in c) for c in combinations(range(bits), ones))
 
 

@@ -8,7 +8,7 @@ lower unitriangular, hence exactly invertible.
 
 from __future__ import annotations
 
-from .series import _divide_one_minus, _times_binomial
+from .counting import _frame_interiors
 from .tables import CountTable
 
 
@@ -17,19 +17,11 @@ def build_scheme(total: int) -> CountTable:
     the cell counts partitions with largest part m1 and exactly n parts.
 
     Largest part a + 1 and b + 1 parts leave total - 1 - a - b units for the
-    interior a x b box, so each largest part is one sweep of the box kernel
-    G(a, 0), G(a, 1), ... that reads one coefficient per step, each lower
-    than the last.  A term only feeds higher ones, so the sweep drops the
-    term it has just read: about total^3 / 6 element operations in all."""
+    interior a x b box: the last term of each truncated interior sweep."""
     if total < 1:
         raise ValueError("total must be >= 1")
     cells = [[0] * total for _ in range(total)]
-    for a in range(total):
-        column = [1] + [0] * (total - 1 - a)  # G(a, 0) up to t^(total-1-a)
-        for b in range(total - a):
-            if b:
-                _times_binomial(column, a + b)
-                _divide_one_minus(column, b)
-            cells[a][b] = column.pop()
+    for a, b, column in _frame_interiors(total):
+        cells[a][b] = column[-1]
     return CountTable("scheme", "m1", "n", tuple(range(total, 0, -1)),
                       tuple(range(1, total + 1)), tuple(map(tuple, reversed(cells))))

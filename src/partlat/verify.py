@@ -17,6 +17,8 @@ from .oracle import ConstraintRecord, classify, count, enumerate_partitions
 from .partitions import Partition
 
 RANDOM_SEED = 20240517
+# Largest max_total verify_suite accepts.
+MAX_TOTAL = 25
 
 
 @dataclass(frozen=True)
@@ -640,8 +642,8 @@ CHECKS = (
 
 def verify_suite(max_total: int = 12) -> Report:
     """Run every named invariant and erratum demonstration."""
-    if not 1 <= max_total <= 25:
-        raise ValueError("max_total must be between 1 and 25")
+    if not 1 <= max_total <= MAX_TOTAL:
+        raise ValueError(f"max_total must be between 1 and {MAX_TOTAL}")
     results = []
     for name, fn in CHECKS:
         try:

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from partlat import cli
-from partlat.counting import exact_table
+from partlat.counting import exact_table, p, p_box
 from partlat.schemes import build_scheme
 from partlat.tables import CountTable
 
@@ -180,6 +180,26 @@ class TestLatticeCommand:
         assert status == 2 and text == ""
         assert f"node count exceeds the cap 1000000: {size} nodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", (
+        ("split-merge", "--total", "8", "--slots"),
+        ("unit-exchange", "--total", "3", "--slots"),
+        ("subset-double-swap", "--ones", "1", "--bits"),
+        ("subset-swap", "--ones", "0", "--bits"),
+    ))
+    def test_label_width_cap(self, monkeypatch, capsys, argv):
+        variant, *params = argv
+        cap = cli.lattices.WIDTH_CAP
+        status, text = run_cli("lattice", "--variant", variant, *params, str(cap))
+        assert status == 0 and text.count("\n") == text.count(" -- ")
+        monkeypatch.setattr(cli.lattices, "label_of", fail)
+        monkeypatch.setattr(cli.lattices, "_collect", fail)
+        for huge in (cap + 1, 10 ** 5):
+            start = time.perf_counter()
+            status, text = run_cli("lattice", "--variant", variant, *params, str(huge))
+            assert time.perf_counter() - start < 0.3
+            assert status == 2 and text == ""
+            assert f"label width {huge} exceeds the cap {cap}" in capsys.readouterr().err
+
 
 class TestSeriesCommand:
     def test_partition_series(self):
@@ -204,12 +224,119 @@ class TestSeriesCommand:
     def test_negative_order_refused(self, kind, capsys):
         status, text = run_cli("series", "--kind", kind, "--order", "-5")
         assert status == 2 and text == ""
-        assert "error: order must be >= 0" in capsys.readouterr().err
+        assert f"error: --order must be in 0..{cli.MAX_SERIES_ORDER}" in capsys.readouterr().err
 
     def test_order_cap(self, capsys):
         status, text = run_cli("series", "--kind", "euler", "--order", str(cli.MAX_SERIES_ORDER + 1))
         assert status == 2 and text == ""
-        assert f"cap {cli.MAX_SERIES_ORDER}" in capsys.readouterr().err
+        assert f"--order must be in 0..{cli.MAX_SERIES_ORDER}" in capsys.readouterr().err
+
+
+def registry_ranges():
+    """(argv that selects the entry, range) for every range of the registry."""
+    for name, entry in cli.TABLES.items():
+        for r in entry.ranges:
+            yield pytest.param(("table", name), r, id=f"table-{name}{r.flag}")
+    for kind, entry in cli.SERIES_KINDS.items():
+        caps = ("--caps", "1:2,3:*") if kind == "capped" else ()
+        for r in entry.ranges:
+            yield pytest.param(("series", "--kind", kind, *caps), r, id=f"series-{kind}{r.flag}")
+    for command, ranges in cli.COMMAND_RANGES.items():
+        for r in ranges:
+            yield pytest.param((command,), r, id=f"{command}{r.flag}".replace(" ", "-"))
+
+
+def with_value(r, value):
+    """Arguments that give range ``r`` the value ``value``.  The one derived
+    range, the --list match bound, is p(total) for an unrestricted listing,
+    so its values are partition numbers."""
+    if r.value is None:
+        return (r.flag, str(value))
+    assert r.flag == "--list matches"
+    return ("--total", str(next(t for t in range(100) if p(t) >= value)), "--list")
+
+
+def just_outside(r, cap):
+    """The value of the smallest call past ``cap``: cap + 1, or for the list
+    bound the next partition number."""
+    return cap + 1 if r.value is None else next(p(t) for t in range(100) if p(t) > cap)
+
+
+def fail(*_):
+    raise AssertionError("the builder ran")
+
+
+def patch_registry(monkeypatch, argv, r, small, builder=None):
+    """Swap range ``r`` for ``small`` in the entry ``argv`` selects and,
+    when ``builder`` is given, that entry's builder for it."""
+    def swap(ranges):
+        return tuple(small if x == r else x for x in ranges)
+
+    if argv[0] in ("table", "series"):
+        registry = cli.TABLES if argv[0] == "table" else cli.SERIES_KINDS
+        key = argv[1] if argv[0] == "table" else argv[2]
+        entry = registry[key]
+        monkeypatch.setitem(registry, key, entry._replace(ranges=swap(entry.ranges),
+                                                           build=builder or entry.build))
+        return
+    monkeypatch.setitem(cli.COMMAND_RANGES, argv[0], swap(cli.COMMAND_RANGES[argv[0]]))
+    if builder is not None:
+        if argv[0] == "scheme":
+            monkeypatch.setattr(cli.schemes, "build_scheme", builder)
+        else:
+            monkeypatch.setattr(cli.oracle, "iter_parts", builder)
+
+
+class TestCostRegistry:
+    @pytest.mark.parametrize("argv,r", registry_ranges())
+    def test_small_cap_admits_the_cap_and_refuses_past_it(self, monkeypatch, capsys, argv, r):
+        cap = r.low + 3 if r.value is None else p(5)
+        small = r._replace(cap=cap)
+        patch_registry(monkeypatch, argv, r, small)
+        status, text = run_cli(*argv, *with_value(r, cap))
+        assert status == 0 and text
+        patch_registry(monkeypatch, argv, small, small, builder=fail)
+        outside = [just_outside(r, cap)] + ([r.low - 1] if r.value is None else [])
+        for value in outside:
+            status, text = run_cli(*argv, *with_value(r, value))
+            assert status == 2 and text == ""
+            assert f"error: {r.flag} must be in {r.low}..{cap}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,r", registry_ranges())
+    def test_just_past_the_real_cap_refused_fast(self, monkeypatch, capsys, argv, r):
+        patch_registry(monkeypatch, argv, r, r, builder=fail)
+        start = time.perf_counter()
+        status, text = run_cli(*argv, *with_value(r, just_outside(r, r.cap)))
+        assert time.perf_counter() - start < 0.3
+        assert status == 2 and text == ""
+        assert f"{r.flag} must be in {r.low}..{r.cap}" in capsys.readouterr().err
+
+    def test_flags_a_table_does_not_read_are_not_capped(self):
+        assert run_cli("table", "exact", "--max", "3", "--size", "501")[0] == 0
+        assert run_cli("table", "euler", "--size", "3", "--max", "201")[0] == 0
+
+    def test_list_bound_reads_the_part_bounds(self, monkeypatch, capsys):
+        # p(80) is far past the cap; its partitions into at most 3 parts are not.
+        status, text = run_cli("count", "--total", "80", "--max-parts", "3", "--list")
+        assert status == 0 and int(text.split()[-1]) == p_box(80, 3, 80)
+        # Past the oracle's cap the bound is not computed; the oracle refuses.
+        status, _ = run_cli("count", "--total", "1000000000", "--list")
+        assert status == 2 and "enumeration cap" in capsys.readouterr().err
+        monkeypatch.setattr(cli.oracle, "iter_parts", fail)
+        status, _ = run_cli("count", "--total", "80", "--exact-max-part", "60", "--list")
+        assert status == 2 and "--list matches must be in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", (MemoryError, RecursionError))
+    def test_crash_exits_2_with_one_line(self, monkeypatch, capsys, error):
+        def crash(_):
+            raise error()
+
+        entry = cli.TABLES["exact"]
+        monkeypatch.setitem(cli.TABLES, "exact", entry._replace(build=crash))
+        status, text = run_cli("table", "exact")
+        err = capsys.readouterr().err
+        assert status == 2 and text == ""
+        assert err.startswith("error: ") and error.__name__ in err and err.count("\n") == 1
 
 
 class TestVerifyCommand:

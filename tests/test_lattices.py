@@ -162,6 +162,26 @@ class TestBitVariants:
             assert (build_subset_double_swap(bits, ones).edge_count
                     == nodes * math.comb(ones, 2) * math.comb(zeros, 2) // 2)
 
+    @pytest.mark.parametrize("ones", (1, lattices.WIDTH_CAP - 1))
+    def test_short_side_forms_no_swap_pairs(self, monkeypatch, ones):
+        """Fewer ones or zeros than swaps: no edges, found without forming
+        the pairs of the other side."""
+        sizes = []
+        real = lattices.combinations
+        monkeypatch.setattr(lattices, "combinations",
+                            lambda pool, k: sizes.append(k) or real(pool, k))
+        lat = build_subset_double_swap(lattices.WIDTH_CAP, ones)
+        assert (lat.node_count, lat.edge_count) == (lattices.WIDTH_CAP, 0)
+        assert sizes == [ones]  # the node masks only
+
+    def test_width_cap(self, monkeypatch):
+        monkeypatch.setattr(lattices, "WIDTH_CAP", 6)
+        assert build_subset_swap(6, 1).node_count == 6
+        assert build_split_merge(4, 6).node_count == 5
+        for build in (lambda: build_subset_swap(7, 1), lambda: build_split_merge(4, 7)):
+            with pytest.raises(ValueError, match="label width 7 exceeds the cap 6"):
+                build()
+
     @pytest.mark.parametrize("cap", (1, 2, 3, 7, 8, 9, 20, 35, 36, 10 ** 6))
     def test_parameter_refusal_is_the_count_refusal(self, cap):
         """Refused from the parameters exactly when the count passes the cap."""
