@@ -67,6 +67,14 @@ def _list_bound(args: argparse.Namespace) -> int:
     return counting.p_box(size, parts, args.total)
 
 
+def _list_width(args: argparse.Namespace) -> int:
+    """The width `count --list` pads each line to: the part-count bound
+    (--exact-parts or --max-parts).  Zero without --list or a bound."""
+    if not args.list:
+        return 0
+    return next((b for b in (args.exact_parts, args.max_parts) if b is not None), 0)
+
+
 # At each cap the slowest table, series kind or command that reads it takes
 # about 2 s or less in a whole CLI child (BENCH_8.json).
 MAX_SERIES_ORDER = 1500
@@ -77,8 +85,9 @@ DIM = Range("--dim", 0, 100)
 SCHEME_TOTAL = Range("--total", 1, 400)
 ORDER = Range("--order", 0, MAX_SERIES_ORDER)
 LIST_MATCHES = Range("--list matches", 0, 100_000, _list_bound)
+LIST_WIDTH = Range("--list width", 0, lattices.WIDTH_CAP, _list_width)
 
-COMMAND_RANGES = {"scheme": (SCHEME_TOTAL,), "count": (LIST_MATCHES,)}
+COMMAND_RANGES = {"scheme": (SCHEME_TOTAL,), "count": (LIST_MATCHES, LIST_WIDTH)}
 
 
 def _matrix_table(name: str, m: intmatrix.IntMatrix, base: int = 0) -> CountTable:
@@ -178,14 +187,7 @@ def _cmd_scheme(args, out) -> int:
 def _cmd_lattice(args, out) -> int:
     _, names = lattices.VARIANTS[args.variant]
     lat = lattices.build_lattice(args.variant, **{name: getattr(args, name) for name in names})
-    if args.format == "edges":
-        out.write(lat.to_edge_list())
-    elif args.format == "dot":
-        out.write(lat.to_dot())
-    else:
-        import json
-
-        out.write(json.dumps(lat.to_json_dict(), indent=2) + "\n")
+    out.writelines(lat.export(args.format))
     return 0
 
 
@@ -277,8 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--layer", type=int)
     c.add_argument("--hook-frame", type=int)
     c.add_argument("--list", action="store_true",
-                   help="print the partitions too (refused when a box bound on the "
-                   f"matches passes {LIST_MATCHES.cap})")
+                   help="print the partitions too, zero-padded to the part-count bound "
+                   f"(refused when a box bound on the matches passes {LIST_MATCHES.cap}, "
+                   f"or that bound passes {LIST_WIDTH.cap})")
     c.set_defaults(fn=_cmd_count)
 
     s = sub.add_parser("scheme", help="emit a partition scheme or its exact inverse")

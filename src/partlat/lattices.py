@@ -14,24 +14,34 @@ hypercube           all d-bit strings, edges at Hamming distance 1.
 
 Builders work on padded part tuples or bit masks and generate each node's
 neighbours from it directly, so a build costs time proportional to its
-edges.  Each node is labelled once; nodes are canonical text labels sorted
-lexicographically, so exports are byte-stable.  ``NODE_CAP`` and
-``EDGE_CAP`` refuse graphs too large to materialize, every variant by its
-closed-form node and edge counts before any work: binomial coefficients
-for the bit variants, box-kernel counts for the partition variants.  A bit
-variant whose node count passes the cap is refused from its parameters
-(2^dim, C(bits, ones)) without computing that count.  ``WIDTH_CAP`` then
-refuses labels of more slots or bits; a hypercube within the node cap is
-far narrower.
+edges.  The nodes are integers: node i is the i-th canonical text label in
+lexicographic order, so exports are byte-stable.  The edges are two
+``array('I')`` columns of node pairs i < j, sorted, and the queries run on
+a compressed adjacency (offsets and targets arrays) built on first use.
+Each node is labelled once, and labels serve only lookup and export:
+``OrbitLattice.edges`` pairs them on demand, and :meth:`OrbitLattice.export`
+streams each text format in chunks.
+
+``NODE_CAP`` and ``EDGE_CAP`` refuse graphs too large to materialize, every
+variant by its closed-form node and edge counts before any work: binomial
+coefficients for the bit variants, box-kernel counts for the partition
+variants.  A bit variant whose node count passes the cap is refused from
+its parameters (2^dim, C(bits, ones)) without computing that count.
+``WIDTH_CAP`` then refuses labels of more slots or bits; a hypercube within
+the node cap is far narrower.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from functools import cached_property
-from itertools import combinations
-from typing import NoReturn
+from itertools import combinations, repeat
+from json.encoder import encode_basestring_ascii as _json_string
+from operator import eq, lt
+from typing import Iterator, NoReturn
 
 from . import counting, oracle
 from .partitions import label_of
@@ -42,22 +52,59 @@ NODE_CAP = 10 ** 6
 EDGE_CAP = 10 ** 6
 WIDTH_CAP = 100
 
+# Lines per chunk of a streamed export.
+_CHUNK = 4096
+# One-byte strings, by value: a padded part string holds one part per byte.
+_BYTES = [bytes((v,)) for v in range(256)]
 
-@dataclass(frozen=True)
+
 class OrbitLattice:
-    variant: str
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    """A graph on the labels ``nodes``; node i is ``nodes[i]``.
 
-    def __post_init__(self):
-        node_set = set(self.nodes)
-        for a, b in self.edges:
+    ``edges`` is a read-only sequence of label pairs (``nodes[i]``,
+    ``nodes[j]``) with i < j, sorted by (i, j).  The constructor takes
+    label pairs in any order and orientation, and refuses duplicate nodes,
+    self-loops, endpoints outside ``nodes`` and an edge given twice (in
+    either orientation).
+    """
+
+    def __init__(self, variant: str, nodes, edges):
+        nodes = tuple(nodes)
+        index = dict(zip(nodes, range(len(nodes))))
+        if len(index) != len(nodes):
+            raise ValueError("duplicate nodes")
+        pairs = set()
+        for a, b in edges:
             if a == b:
                 raise ValueError(f"self-loop at {a}")
-            if a not in node_set or b not in node_set:
+            if a not in index or b not in index:
                 raise ValueError(f"edge ({a}, {b}) leaves the node set")
-        if len(set(self.edges)) != len(self.edges):
-            raise ValueError("duplicate edges")
+            pair = tuple(sorted((index[a], index[b])))
+            if pair in pairs:
+                raise ValueError("duplicate edges")
+            pairs.add(pair)
+        pairs = sorted(pairs)
+        self._init(variant, nodes, array("I", [i for i, _ in pairs]),
+                   array("I", [j for _, j in pairs]))
+
+    def _init(self, variant: str, nodes: tuple[str, ...], low: array, high: array) -> None:
+        self.variant = variant
+        self.nodes = nodes
+        # A list's __getitem__ maps indices to labels faster than a tuple's.
+        self._labels = list(nodes)
+        self._low, self._high = low, high
+        self.edges = _Edges(self)
+
+    @classmethod
+    def _from_columns(cls, variant: str, nodes: tuple[str, ...], low: array,
+                      high: array) -> "OrbitLattice":
+        """The lattice on checked columns (see :func:`_check_columns`)."""
+        lattice = cls.__new__(cls)
+        lattice._init(variant, nodes, low, high)
+        return lattice
+
+    def __repr__(self) -> str:
+        return f"OrbitLattice({self.variant!r}, {self.node_count} nodes, {self.edge_count} edges)"
 
     @property
     def node_count(self) -> int:
@@ -65,56 +112,203 @@ class OrbitLattice:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._low)
 
     @cached_property
-    def _adjacency(self) -> dict[str, tuple[str, ...]]:
-        adjacency: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for a, b in self.edges:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        return {n: tuple(sorted(out)) for n, out in adjacency.items()}
+    def _index(self) -> dict[str, int]:
+        return dict(zip(self.nodes, range(len(self.nodes))))
+
+    def _node(self, label: str) -> int:
+        i = self._index.get(label)
+        if i is None:
+            raise KeyError(f"unknown node {label!r}")
+        return i
+
+    @cached_property
+    def _adjacency(self) -> tuple[array, array]:
+        """Offsets and targets: the neighbours of node i are
+        ``targets[offsets[i]:offsets[i + 1]]``, in increasing order, its
+        lower neighbours first.  The pairs come sorted, so the lower
+        neighbours of each node are met in order and its higher ones are
+        one slice of ``high``."""
+        low, high = self._low, self._high
+        lower = [[] for _ in self.nodes]
+        for i, j in zip(low, high):
+            lower[j].append(i)
+        offsets, targets = array("I", [0]), array("I")
+        start = 0
+        for i, below in enumerate(lower):
+            end = bisect_right(low, i, start)
+            targets.extend(below)
+            targets.extend(high[start:end])
+            offsets.append(len(targets))
+            start = end
+        return offsets, targets
 
     def neighbors(self, node: str) -> tuple[str, ...]:
-        if node not in self._adjacency:
-            raise KeyError(f"unknown node {node!r}")
-        return self._adjacency[node]
+        offsets, targets = self._adjacency
+        i = self._node(node)
+        return tuple(map(self._labels.__getitem__, targets[offsets[i]:offsets[i + 1]]))
 
     def degree(self, node: str) -> int:
-        return len(self.neighbors(node))
+        offsets = self._adjacency[0]
+        i = self._node(node)
+        return offsets[i + 1] - offsets[i]
+
+    def export(self, fmt: str) -> Iterator[str]:
+        """The ``edges``, ``dot`` or ``json`` text in chunks, so a large
+        graph is never held as one string.  The json text is
+        ``json.dumps(self.to_json_dict(), indent=2)`` and a newline."""
+        labels = self._labels
+        if fmt == "edges":
+            yield from self._edge_text([f"{a} -- " for a in labels], [f"{b}\n" for b in labels])
+        elif fmt == "dot":
+            yield f'graph "{self.variant}" {{\n'
+            for chunk in _slices(labels):
+                yield "".join([f'  "{n}";\n' for n in chunk])
+            yield from self._edge_text([f'  "{a}" -- ' for a in labels],
+                                       [f'"{b}";\n' for b in labels])
+            yield "}\n"
+        elif fmt == "json":
+            quoted = list(map(_json_string, labels))
+            yield f'{{\n  "variant": {_json_string(self.variant)},\n  "nodes": '
+            yield from _json_array("".join([",\n    " + q for q in chunk])
+                                   for chunk in _slices(quoted))
+            yield ',\n  "edges": '
+            yield from _json_array(self._edge_text([f"\n    [\n      {a}," for a in quoted],
+                                                   [f"\n      {b}\n    ]" for b in quoted],
+                                                   sep=","))
+            yield "\n}\n"
+        else:
+            raise ValueError(f"unknown export format {fmt!r}")
+
+    def _edge_text(self, heads: list[str], tails: list[str], sep: str = "") -> Iterator[str]:
+        """``sep + heads[i] + tails[j]`` for each edge (i, j), in chunks,
+        joined from the per-node strings without a string per edge."""
+        low, high = self._low, self._high
+        for start in range(0, len(low), _CHUNK):
+            pieces = [sep] * (3 * len(low[start:start + _CHUNK]))
+            pieces[1::3] = map(heads.__getitem__, low[start:start + _CHUNK])
+            pieces[2::3] = map(tails.__getitem__, high[start:start + _CHUNK])
+            yield "".join(pieces)
 
     def to_edge_list(self) -> str:
-        return "".join(f"{a} -- {b}\n" for a, b in self.edges)
+        return "".join(self.export("edges"))
 
     def to_dot(self) -> str:
-        lines = [f'graph "{self.variant}" {{']
-        lines += [f'  "{n}";' for n in self.nodes]
-        lines += [f'  "{a}" -- "{b}";' for a, b in self.edges]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return "".join(self.export("dot"))
 
     def to_json_dict(self) -> dict:
         return {
             "variant": self.variant,
             "nodes": list(self.nodes),
-            "edges": [list(e) for e in self.edges],
+            "edges": [[a, b] for a, b in self.edges],
         }
 
 
-def _collect(variant: str, labels: dict, moves) -> OrbitLattice:
-    """The lattice on ``labels`` ({node: label}) whose edges join each node
-    to the nodes ``moves(node)`` yields."""
-    edges: set[tuple[str, str]] = set()
-    for node, label in labels.items():
-        for other in moves(node):
-            other = labels[other]
-            edges.add((label, other) if label < other else (other, label))
-    return OrbitLattice(variant, tuple(sorted(labels.values())), tuple(sorted(edges)))
+def _slices(items: list) -> Iterator[list]:
+    return (items[start:start + _CHUNK] for start in range(0, len(items), _CHUNK))
 
 
-def _partition_nodes(total: int, slots: int) -> dict[tuple[int, ...], str]:
+def _json_array(chunks) -> Iterator[str]:
+    """A JSON array, two levels deep at indent 2, from chunks of its items
+    each led by a comma."""
+    empty = True
+    for chunk in chunks:
+        yield "[" + chunk[1:] if empty else chunk
+        empty = False
+    yield "[]" if empty else "\n  ]"
+
+
+class _Edges(Sequence):
+    """Read-only view of a lattice's edges as label pairs, made on demand
+    from the index columns; it holds no pair."""
+
+    __slots__ = ("_lattice",)
+
+    def __init__(self, lattice: OrbitLattice):
+        self._lattice = lattice
+
+    def __len__(self) -> int:
+        return len(self._lattice._low)
+
+    def __getitem__(self, k):
+        lat = self._lattice
+        labels = lat._labels
+        if isinstance(k, slice):
+            return tuple(zip(map(labels.__getitem__, lat._low[k]),
+                             map(labels.__getitem__, lat._high[k])))
+        return labels[lat._low[k]], labels[lat._high[k]]
+
+    def __iter__(self):
+        lat = self._lattice
+        get = lat._labels.__getitem__
+        return zip(map(get, lat._low), map(get, lat._high))
+
+    def __contains__(self, pair) -> bool:
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            return False
+        lat = self._lattice
+        i, j = (lat._index.get(x) for x in pair)
+        if i is None or j is None or i >= j:
+            return False
+        low, high = lat._low, lat._high
+        start = bisect_left(low, i)
+        end = bisect_right(low, i, start)
+        k = bisect_left(high, j, start, end)
+        return k < end and high[k] == j
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _Edges)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} edges of {self._lattice!r}>"
+
+
+def _check_columns(nodes: int, low: array, high: array) -> None:
+    """Refuse edge columns unless every pair is i < j < ``nodes`` and the
+    pairs strictly increase: no self-loop, no endpoint outside the nodes
+    and no duplicate edge.  Linear, in C-level passes."""
+    if not (all(map(lt, low, high)) and max(high, default=-1) < nodes
+            and all(map(lt, zip(low, high), zip(low[1:], high[1:])))):
+        raise ValueError(f"edge columns are not increasing pairs i < j < {nodes}")
+
+
+def _collect(variant: str, nodes: dict, moves, one_way: bool = False) -> OrbitLattice:
+    """The lattice on ``nodes`` ({node: label}) whose edges join each node
+    to the nodes ``moves(node)`` yields.  The nodes are numbered in label
+    order.  The moves of every node are distinct; they are symmetric, so
+    each edge is kept from its lower end, unless ``one_way``: then each
+    edge is met from one end only, whichever it is."""
+    order = sorted(nodes, key=nodes.__getitem__)
+    index = dict(zip(order, range(len(order)))).__getitem__
+    if one_way:
+        higher = [[] for _ in order]
+        for i, node in enumerate(order):
+            for j in map(index, moves(node)):
+                if j > i:
+                    higher[i].append(j)
+                else:
+                    higher[j].append(i)
+    else:
+        higher = ([j for j in map(index, moves(node)) if j > i] for i, node in enumerate(order))
+    low, high = array("I"), array("I")
+    for i, js in enumerate(higher):
+        js.sort()
+        low.extend(repeat(i, len(js)))
+        high.extend(js)
+    _check_columns(len(order), low, high)
+    return OrbitLattice._from_columns(variant, tuple(map(nodes.__getitem__, order)), low, high)
+
+
+def _partition_nodes(total: int, slots: int) -> dict[bytes, str]:
     """Partitions of ``total`` in at most ``slots`` parts, as padded part
-    tuples mapped to their labels, checked against the caps first.
+    strings (one byte per slot, parts being at most ``oracle.TOTAL_CAP``)
+    mapped to their labels, checked against the caps first.
 
     Both partition variants have the same edge count.  An edge changes two
     slots holding x and y, x + y = k (y = 0 for a zero slot), and keeps a
@@ -135,37 +329,53 @@ def _partition_nodes(total: int, slots: int) -> dict[tuple[int, ...], str]:
     _check_width(slots)
     nodes = {}
     for parts in oracle.iter_parts(oracle.ConstraintRecord(total=total, max_parts=slots)):
-        padded = parts + (0,) * (slots - len(parts))
+        padded = bytes(parts) + bytes(slots - len(parts))
         nodes[padded] = label_of(padded)
     return nodes
 
 
-def _unit_moves(parts: tuple[int, ...]):
+def _unit_moves(parts: bytes) -> list[bytes]:
     """Move one unit from the last slot holding x > 0 to the first slot
     holding y, for each pair of values with y != x - 1; parts stay sorted."""
-    first, last = {}, {}
-    for i, v in enumerate(parts):
-        first.setdefault(v, i)
-        last[v] = i
-    for x, i in last.items():
+    first = {v: parts.index(v) for v in dict.fromkeys(parts)}
+    out = []
+    for x, i in first.items():
+        if not x:
+            continue
+        i += parts.count(x) - 1
+        moved = bytearray(parts)
+        moved[i] = x - 1
         for y, j in first.items():
-            if x > 0 and y != x - 1 and i != j:
-                moved = list(parts)
-                moved[i] -= 1
-                moved[j] += 1
-                yield tuple(moved)
+            if y != x - 1 and i != j:
+                moved[j] = y + 1
+                out.append(bytes(moved))
+                moved[j] = y
+    return out
 
 
-def _merges(parts: tuple[int, ...]):
-    """Merge two nonzero parts, once per pair of values."""
+def _merges(parts: bytes) -> list[bytes]:
+    """Merge two nonzero parts, once per pair of values: drop the last copy
+    of each (the last two of a repeated value), put their sum in its sorted
+    place and pad with a zero."""
     values = [v for v in dict.fromkeys(parts) if v]
+    starts = [parts.index(v) for v in values]
+    ends = starts[1:] + [len(parts) - parts.count(0)]  # one past each run
+    out = []
     for k, x in enumerate(values):
-        for y in values[k:]:
-            if y != x or parts.count(x) > 1:
-                rest = list(parts)
-                rest.remove(x)
-                rest.remove(y)
-                yield tuple(sorted(rest + [x + y], reverse=True)) + (0,)
+        at = 0  # where the sum goes: before the first value at most it
+        for m in range(k, len(values)):
+            i, j = ends[k] - 1, ends[m] - 1
+            if m == k:
+                if j == starts[k]:
+                    continue
+                i -= 1
+            merged = x + values[m]
+            while values[at] > merged:
+                at += 1
+            place = starts[at]
+            out.append(b"".join((parts[:place], _BYTES[merged], parts[place:i],
+                                 parts[i + 1:j], parts[j + 1:], b"\0")))
+    return out
 
 
 def build_unit_exchange(total: int, slots: int) -> OrbitLattice:
@@ -178,7 +388,7 @@ def build_split_merge(total: int, slots: int) -> OrbitLattice:
     """Same nodes as unit-exchange; an edge joins two nonzero parts into one
     (equivalently splits one part into two).  Every edge changes the number
     of nonzero parts by exactly one."""
-    return _collect("split-merge", _partition_nodes(total, slots), _merges)
+    return _collect("split-merge", _partition_nodes(total, slots), _merges, one_way=True)
 
 
 def _bit_lattice(variant: str, bits: int, masks, swaps: int) -> OrbitLattice:
@@ -288,24 +498,23 @@ def build_lattice(variant: str, **params) -> OrbitLattice:
 
 def distance(lattice: OrbitLattice, a: str, b: str) -> int | float:
     """Unweighted shortest-path length; math.inf when disconnected."""
-    adjacency = lattice._adjacency
-    for x in (a, b):
-        if x not in adjacency:
-            raise KeyError(f"unknown node {x!r}")
-    if a == b:
+    start, goal = lattice._node(a), lattice._node(b)
+    if start == goal:
         return 0
-    seen = {a}
-    frontier = [a]
+    offsets, targets = lattice._adjacency
+    seen = bytearray(lattice.node_count)
+    seen[start] = 1
+    frontier = [start]
     steps = 0
     while frontier:
         steps += 1
         nxt = []
         for node in frontier:
-            for other in adjacency[node]:
-                if other == b:
-                    return steps
-                if other not in seen:
-                    seen.add(other)
+            for other in targets[offsets[node]:offsets[node + 1]]:
+                if not seen[other]:
+                    if other == goal:
+                        return steps
+                    seen[other] = 1
                     nxt.append(other)
         frontier = nxt
     return math.inf
@@ -325,8 +534,3 @@ def column_edge_counts(total: int) -> tuple[int, ...]:
             counts[total - zeros - 1] += sum(1 for q in _unit_moves(parts) if q.count(0) < zeros)
     return tuple(counts)
 
-
-def _label_parts(label: str) -> tuple[int, ...]:
-    if "," in label:
-        return tuple(int(x) for x in label.split(","))
-    return tuple(int(ch) for ch in label)

@@ -3,12 +3,14 @@
 This module is the ground truth the recurrence implementations are checked
 against, so it stays independent of every counting formula.  One iterative
 walk, :func:`iter_parts`, generates the part tuples largest-first with an
-explicit stack, pruning only on arithmetic bounds (part size, slot count,
-minimum part).  The run of smallest allowed parts that ends a partition is
-emitted in one step instead of one node per part.  Every other constraint
-(exact largest part, unit count, parity, distinctness, layer, hook frame)
-is a filter on the finished tuple, built once per record from the fields
-the record sets.
+explicit stack, pruning on arithmetic bounds (part size, slot count,
+minimum part) and on the set of part values: all-odd and all-even draw
+every other value, and distinct draws each value at most once.  The run of
+smallest allowed parts that ends a partition is emitted in one step instead
+of one node per part.  Every constraint (exact largest part, unit count,
+parity, distinctness, layer, hook frame) is still a filter on the finished
+tuple, built once per record from the fields the record sets, so the
+pruning can only skip tuples a filter would reject.
 
 ``count`` and ``classify`` consume the stream and build no list and no
 :class:`Partition`; ``enumerate_partitions`` wraps the same stream.
@@ -153,45 +155,63 @@ def _filters(c: ConstraintRecord) -> list:
     return keep
 
 
-def _walk(total: int, hi: int, lo: int, slots: int, exact: bool) -> Iterator[tuple[int, ...]]:
-    """Partitions of ``total`` into parts in [lo, hi], at most ``slots`` of
-    them (exactly ``slots`` when ``exact``), in decreasing lexicographic order.
+def _walk(total: int, hi: int, lo: int, slots: int, exact: bool, step: int = 1,
+          gap: int = 0) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``total`` into parts lo, lo + step, lo + 2 step, ...
+    up to ``hi``, at most ``slots`` of them (exactly ``slots`` when
+    ``exact``), each part at least ``gap`` below the one before (0 allows
+    repeats, 1 makes the parts distinct), in decreasing lexicographic order.
 
     ``stack`` holds the parts placed so far; ``v`` is the next value to try
-    in the slot after them.  Descending places ``v``; backtracking pops the
-    last part ``x`` and tries ``x - 1`` in its slot.
+    in the slot after them, always lo plus a multiple of ``step``.
+    Descending places ``v``; backtracking pops the last part ``x`` and
+    tries ``x - step`` in its slot.
     """
     if total == 0:
         if not exact or slots == 0:
             yield ()
         return
+    drop = -(-gap // step) * step  # the least fall from one part to the next
     stack: list[int] = []
     remaining = total
     v = min(hi, total)
+    v -= (v - lo) % step
     while True:
         left = slots - len(stack)
         if exact:
             # Every later slot needs at least ``lo``.
-            v = min(v, remaining - (left - 1) * lo)
-        # A dead end when no slot is free, ``v`` is below ``lo`` or even
-        # ``left`` copies of ``v`` cannot hold what remains.
-        if left and v >= lo and v * left >= remaining:
+            top = remaining - (left - 1) * lo
+            if v > top:
+                v = top - (top - lo) % step
+        # The most the ``left`` slots can hold from ``v`` down: copies of
+        # ``v``, or v, v - drop, ... down to ``lo``.
+        if drop:
+            n = min(left, (v - lo) // drop + 1)
+            room = n * v - drop * n * (n - 1) // 2
+        else:
+            room = v * left
+        # A dead end when no slot is free, ``v`` is below ``lo`` or the
+        # slots cannot hold what remains.
+        if left and v >= lo and room >= remaining:
             if v > lo:
                 stack.append(v)
                 remaining -= v
                 if remaining:
-                    v = min(v, remaining)
+                    v -= drop
+                    if v > remaining:
+                        v = remaining - (remaining - lo) % step
                     continue
                 yield tuple(stack)
             elif remaining % lo == 0:
-                # Only copies of ``lo`` are left to place, and the test
-                # above makes them fit the slots (fill them, when exact).
+                # Only copies of ``lo`` are left to place, and the room test
+                # makes them fit the slots (fill them, when exact; one copy,
+                # when the parts fall).
                 yield tuple(stack) + (lo,) * (remaining // lo)
         if not stack:
             return
         x = stack.pop()
         remaining += x
-        v = x - 1
+        v = x - step
 
 
 def iter_parts(c: ConstraintRecord) -> Iterator[tuple[int, ...]]:
@@ -208,7 +228,12 @@ def iter_parts(c: ConstraintRecord) -> Iterator[tuple[int, ...]]:
     for bound in (c.max_part, c.exact_max_part):
         if bound is not None:
             hi = min(hi, bound)
-    stream = _walk(c.total, hi, max(c.min_part or 1, 1), slots, exact)
+    lo, step = max(c.min_part or 1, 1), 1
+    if c.parity in ("all-odd", "all-even"):
+        # Every other value, from ``lo`` rounded up to the parity.
+        lo += (lo + (c.parity == "all-odd")) % 2
+        step = 2
+    stream = _walk(c.total, hi, lo, slots, exact, step, int(c.parity == "distinct"))
     for keep in _filters(c):
         stream = filter(keep, stream)
     return stream

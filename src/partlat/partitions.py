@@ -14,6 +14,7 @@ Negative part values are representable only through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -40,11 +41,18 @@ def canonicalize(values: Iterable[int], padded_length: int | None = None) -> "Pa
     return Partition(nonzero, padded_length)
 
 
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def label_of(parts: Sequence[int]) -> str:
     """Canonical text label: concatenated digits while every part is < 10,
     comma-separated values otherwise."""
-    sep = "" if max(parts, default=0) <= 9 else ","
-    return sep.join(map(str, parts))
+    if max(parts, default=0) > 9:
+        return ",".join(map(str, parts))
+    try:
+        return bytes(parts).translate(_DIGITS).decode()
+    except (TypeError, ValueError):  # a value that is not a byte
+        return "".join(map(str, parts))
 
 
 class Partition:
@@ -124,8 +132,7 @@ class Partition:
         if cols < self.largest:
             raise FrameError(f"frame cols {cols} < largest part {self.largest}")
         ps = self._nonzero + (0,) * (rows - self.nonzero_count)
-        grid = tuple(tuple(1 if j < ps[i] else 0 for j in range(cols)) for i in range(rows))
-        return FerrersMatrix(grid)
+        return FerrersMatrix(tuple((1,) * p + (0,) * (cols - p) for p in ps))
 
     def box_complement(self, rows: int, cols: int) -> "Partition":
         """Complement inside the all-ones rows x cols frame, then transverse.
@@ -173,6 +180,10 @@ class Partition:
         return 1 + self.interior().total
 
 
+# The values a Ferrers matrix cell may hold.
+_BITS = frozenset((0, 1))
+
+
 @dataclass(frozen=True)
 class FerrersMatrix:
     """A 0/1 grid.  Ferrers-shaped when rows are left-justified runs of ones
@@ -182,12 +193,11 @@ class FerrersMatrix:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for row in self.cells:
-            if len(row) != len(self.cells[0]):
-                raise ValueError("ragged grid")
-            for v in row:
-                if v not in (0, 1):
-                    raise ValueError(f"cell value {v} not in {{0,1}}")
+        if len(set(map(len, self.cells))) > 1:
+            raise ValueError("ragged grid")
+        if not _BITS.issuperset(chain.from_iterable(self.cells)):
+            bad = next(v for v in chain.from_iterable(self.cells) if v not in _BITS)
+            raise ValueError(f"cell value {bad} not in {{0,1}}")
 
     @property
     def rows(self) -> int:
@@ -199,10 +209,10 @@ class FerrersMatrix:
 
     @property
     def ones_count(self) -> int:
-        return sum(sum(row) for row in self.cells)
+        return sum(map(sum, self.cells))
 
     def row_lengths(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.cells)
+        return tuple(map(sum, self.cells))
 
     def is_ferrers(self) -> bool:
         lengths = self.row_lengths()
@@ -212,18 +222,15 @@ class FerrersMatrix:
         return all(a >= b for a, b in zip(lengths, lengths[1:]))
 
     def transpose(self) -> "FerrersMatrix":
-        grid = tuple(tuple(self.cells[i][j] for i in range(self.rows)) for j in range(self.cols))
-        return FerrersMatrix(grid)
+        return FerrersMatrix(tuple(zip(*self.cells)))
 
     def transverse(self) -> "FerrersMatrix":
         """Reverse both row and column order (180-degree rotation)."""
-        grid = tuple(tuple(reversed(row)) for row in reversed(self.cells))
-        return FerrersMatrix(grid)
+        return FerrersMatrix(tuple(row[::-1] for row in self.cells[::-1]))
 
     def complement(self) -> "FerrersMatrix":
         """Subtract from the all-ones frame of the same shape."""
-        grid = tuple(tuple(1 - v for v in row) for row in self.cells)
-        return FerrersMatrix(grid)
+        return FerrersMatrix(tuple(tuple(map((1).__sub__, row)) for row in self.cells))
 
     def to_partition(self) -> Partition:
         if not self.is_ferrers():

@@ -519,12 +519,16 @@ def _one_unit_apart(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return False
 
 
+def _edge_parts(lat, total: int):
+    """(label pair, part tuple pair) for each edge of a partition lattice
+    of ``total`` in ``total`` slots, read from the builder's node tuples."""
+    parts = {label: tuple(node) for node, label in lattices._partition_nodes(total, total).items()}
+    return (((x, y), (parts[x], parts[y])) for x, y in lat.edges)
+
+
 def _unit_exchange_edges(max_total):
     for m in range(2, min(max_total, 8) + 1):
-        lat = lattices.build_unit_exchange(m, m)
-        for x, y in lat.edges:
-            a = lattices._label_parts(x)
-            b = lattices._label_parts(y)
+        for (x, y), (a, b) in _edge_parts(lattices.build_unit_exchange(m, m), m):
             if a == b or not _one_unit_apart(a, b):
                 return f"edge {x} -- {y} in lattice of {m}"
     return None
@@ -549,11 +553,8 @@ def _figure_edges(_):
 
 def _split_merge_graded(max_total):
     for m in range(2, min(max_total, 7) + 1):
-        lat = lattices.build_split_merge(m, m)
-        for x, y in lat.edges:
-            na = sum(1 for v in lattices._label_parts(x) if v)
-            nb = sum(1 for v in lattices._label_parts(y) if v)
-            if abs(na - nb) != 1:
+        for (x, y), (a, b) in _edge_parts(lattices.build_split_merge(m, m), m):
+            if abs(a.count(0) - b.count(0)) != 1:
                 return f"edge {x} -- {y}"
     return None
 

@@ -132,6 +132,25 @@ class TestLatticeCommand:
         data = json.loads(text)
         assert len(data["nodes"]) == 15
 
+    @pytest.mark.parametrize("fmt", ("edges", "dot", "json"))
+    def test_written_in_chunks_as_the_whole_export(self, monkeypatch, fmt):
+        lat = cli.lattices.build_split_merge(12, 12)
+        whole = {"edges": lat.to_edge_list(), "dot": lat.to_dot(),
+                 "json": json.dumps(lat.to_json_dict(), indent=2) + "\n"}[fmt]
+        sizes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        monkeypatch.setattr(cli.lattices, "_CHUNK", 16)
+        out = Recorder()
+        status = cli.run(["lattice", "--variant", "split-merge", "--total", "12",
+                          "--format", fmt], out=out)
+        assert status == 0 and out.getvalue() == whole
+        assert len(sizes) > 10 and max(sizes) < len(whole) / 4
+
     def test_missing_parameters(self):
         status, _ = run_cli("lattice", "--variant", "hypercube")
         assert status == 2
@@ -247,19 +266,24 @@ def registry_ranges():
 
 
 def with_value(r, value):
-    """Arguments that give range ``r`` the value ``value``.  The one derived
-    range, the --list match bound, is p(total) for an unrestricted listing,
-    so its values are partition numbers."""
+    """Arguments that give range ``r`` the value ``value``.  Of the derived
+    ranges, the --list width is the --max-parts a listing pads to, and the
+    --list match bound is p(total) for an unrestricted listing, so its
+    values are partition numbers."""
     if r.value is None:
         return (r.flag, str(value))
+    if r.flag == "--list width":
+        return ("--total", "3", "--max-parts", str(value), "--list")
     assert r.flag == "--list matches"
     return ("--total", str(next(t for t in range(100) if p(t) >= value)), "--list")
 
 
 def just_outside(r, cap):
     """The value of the smallest call past ``cap``: cap + 1, or for the list
-    bound the next partition number."""
-    return cap + 1 if r.value is None else next(p(t) for t in range(100) if p(t) > cap)
+    match bound the next partition number."""
+    if r.flag != "--list matches":
+        return cap + 1
+    return next(p(t) for t in range(100) if p(t) > cap)
 
 
 def fail(*_):
@@ -325,6 +349,23 @@ class TestCostRegistry:
         monkeypatch.setattr(cli.oracle, "iter_parts", fail)
         status, _ = run_cli("count", "--total", "80", "--exact-max-part", "60", "--list")
         assert status == 2 and "--list matches must be in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ("--max-parts", "--exact-parts"))
+    def test_list_width_refused_before_any_partition(self, monkeypatch, capsys, bound):
+        monkeypatch.setattr(cli.oracle, "iter_parts", fail)
+        for width in (cli.lattices.WIDTH_CAP + 1, 10 ** 7):
+            start = time.perf_counter()
+            status, text = run_cli("count", "--total", "2", bound, str(width), "--list")
+            assert time.perf_counter() - start < 0.3
+            assert status == 2 and text == ""
+            assert capsys.readouterr().err == (
+                f"error: --list width must be in 0..{cli.lattices.WIDTH_CAP}\n")
+        monkeypatch.undo()
+        # The width is read only with --list, and a listing at the cap runs.
+        assert run_cli("count", "--total", "2", bound, "10000000")[0] == 0
+        status, text = run_cli("count", "--total", "2", "--max-parts", str(cli.lattices.WIDTH_CAP),
+                               "--list")
+        assert status == 0 and len(text.splitlines()[0]) == cli.lattices.WIDTH_CAP
 
     @pytest.mark.parametrize("error", (MemoryError, RecursionError))
     def test_crash_exits_2_with_one_line(self, monkeypatch, capsys, error):

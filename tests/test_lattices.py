@@ -1,5 +1,8 @@
 import hashlib
+import json
 import math
+from array import array
+from collections.abc import Sequence
 
 import pytest
 
@@ -14,6 +17,11 @@ from partlat.lattices import (
     column_edge_counts,
     distance,
 )
+
+
+def node_parts(total):
+    """{label: padded part tuple} for the partition lattices of ``total``."""
+    return {label: tuple(parts) for parts, label in lattices._partition_nodes(total, total).items()}
 
 
 class TestUnitExchange:
@@ -35,9 +43,10 @@ class TestUnitExchange:
 
     def test_every_edge_moves_one_unit(self):
         lat = build_unit_exchange(8, 8)
+        parts = node_parts(8)
         for a, b in lat.edges:
-            pa = lattices._label_parts(a)
-            pb = lattices._label_parts(b)
+            pa = parts[a]
+            pb = parts[b]
             moved = False
             for i in range(len(pa)):
                 if pa[i] < 1:
@@ -68,9 +77,10 @@ class TestSplitMerge:
 
     def test_grading_by_nonzero_parts(self):
         lat = build_split_merge(7, 7)
+        parts = node_parts(7)
         for a, b in lat.edges:
-            na = sum(1 for v in lattices._label_parts(a) if v)
-            nb = sum(1 for v in lattices._label_parts(b) if v)
+            na = sum(1 for v in parts[a] if v)
+            nb = sum(1 for v in parts[b] if v)
             assert abs(na - nb) == 1
 
 
@@ -260,6 +270,149 @@ class TestExports:
         d = build_hypercube(2).to_json_dict()
         assert d["variant"] == "hypercube"
         assert len(d["nodes"]) == 4 and len(d["edges"]) == 4
+
+
+class TestEdgeView:
+    """``edges`` reads as a tuple of label pairs but holds none."""
+
+    @pytest.fixture
+    def lat(self):
+        return build_unit_exchange(7, 7)
+
+    def test_sequence_semantics(self, lat):
+        pairs = tuple((lat.nodes[i], lat.nodes[j]) for i, j in zip(lat._low, lat._high))
+        edges = lat.edges
+        assert isinstance(edges, Sequence) and len(edges) == len(pairs) == 28
+        assert tuple(edges) == pairs and list(edges) == list(pairs)
+        assert edges == pairs and pairs == edges and edges == build_unit_exchange(7, 7).edges
+        assert edges != pairs[:-1] and edges != list(pairs) and edges != pairs[::-1]
+        assert [edges[k] for k in range(-len(pairs), len(pairs))] == list(pairs) * 2
+        assert edges[3:9] == pairs[3:9] and edges[::-5] == pairs[::-5]
+        with pytest.raises(IndexError):
+            edges[len(pairs)]
+        assert edges.index(pairs[11]) == 11 and edges.count(pairs[11]) == 1
+        assert list(reversed(edges)) == list(reversed(pairs))
+        with pytest.raises(TypeError):
+            hash(edges)
+
+    def test_membership(self, lat):
+        edges = lat.edges
+        for a, b in edges:
+            assert (a, b) in edges and (b, a) not in edges
+        present = set(edges)
+        for a in lat.nodes:
+            for b in lat.nodes:
+                assert ((a, b) in edges) == ((a, b) in present)
+        for other in (("3220000", "nope"), ("3220000",), ["3220000", "3310000"], "x", None):
+            assert other not in edges
+
+    def test_sample_draws_like_a_tuple(self):
+        import random
+
+        edges = build_subset_double_swap(9, 4).edges
+        assert random.Random(5).sample(edges, 50) == random.Random(5).sample(tuple(edges), 50)
+
+    def test_read_only(self, lat):
+        with pytest.raises(TypeError):
+            lat.edges[0] = ("a", "b")
+
+
+class TestPublicConstructor:
+    NODES = ("a", "b", "c", "d")
+
+    def test_normalizes_orientation_and_order(self):
+        lat = lattices.OrbitLattice("g", self.NODES, (("d", "b"), ("b", "a"), ("c", "a")))
+        assert lat.edges == (("a", "b"), ("a", "c"), ("b", "d"))
+        assert lat.neighbors("a") == ("b", "c") and lat.degree("d") == 1
+        assert distance(lat, "c", "d") == 3
+
+    @pytest.mark.parametrize("edges,message", [
+        ((("a", "b"), ("c", "c")), "self-loop at c"),
+        ((("a", "b"), ("b", "e")), r"edge \(b, e\) leaves the node set"),
+        ((("e", "a"),), r"edge \(e, a\) leaves the node set"),
+        ((("a", "b"), ("c", "d"), ("a", "b")), "duplicate edges"),
+        ((("a", "b"), ("b", "a")), "duplicate edges"),
+    ])
+    def test_refusals(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            lattices.OrbitLattice("g", self.NODES, edges)
+
+    def test_duplicate_nodes_refused(self):
+        with pytest.raises(ValueError, match="duplicate nodes"):
+            lattices.OrbitLattice("g", ("a", "b", "a"), ())
+
+    @pytest.mark.parametrize("low,high", [
+        ((0, 1), (1, 1)),  # a self-loop
+        ((0, 1), (1, 4)),  # an endpoint past the nodes
+        ((0, 0), (2, 2)),  # a duplicate
+        ((0, 0), (2, 1)),  # out of order
+        ((1,), (0,)),  # i > j
+    ])
+    def test_builder_columns_checked(self, low, high):
+        with pytest.raises(ValueError, match="not increasing pairs"):
+            lattices._check_columns(4, array("I", low), array("I", high))
+
+    def test_builder_columns_pass(self):
+        lattices._check_columns(4, array("I", (0, 0, 1, 2)), array("I", (1, 3, 2, 3)))
+        lattices._check_columns(0, array("I"), array("I"))
+
+
+@pytest.mark.parametrize("build", (
+    lambda: build_unit_exchange(9, 5), lambda: build_split_merge(11, 11),
+    lambda: build_subset_swap(7, 3), lambda: build_subset_double_swap(8, 3),
+    lambda: build_hypercube(6),
+))
+def test_adjacency_and_queries_match_the_edges(build):
+    lat = build()
+    adjacency = {n: set() for n in lat.nodes}
+    for a, b in lat.edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    for n in lat.nodes:
+        assert lat.neighbors(n) == tuple(sorted(adjacency[n]))
+        assert lat.degree(n) == len(adjacency[n])
+    with pytest.raises(KeyError):
+        lat.neighbors("nope")
+
+
+class TestStreamedExport:
+    CASES = (
+        lambda: build_unit_exchange(7, 7), lambda: build_split_merge(12, 4),
+        lambda: build_hypercube(4), lambda: build_subset_double_swap(5, 1),
+        lambda: build_unit_exchange(0, 1),
+        lambda: lattices.OrbitLattice('we"ird\u00e9', ("b", "a"), (("a", "b"),)),
+        lambda: lattices.OrbitLattice("empty", (), ()),
+    )
+
+    @staticmethod
+    def reference(lat):
+        lines = ([f'graph "{lat.variant}" {{'] + [f'  "{n}";' for n in lat.nodes]
+                 + [f'  "{a}" -- "{b}";' for a, b in lat.edges] + ["}"])
+        return {"edges": "".join(f"{a} -- {b}\n" for a, b in lat.edges),
+                "dot": "\n".join(lines) + "\n",
+                "json": json.dumps(lat.to_json_dict(), indent=2) + "\n"}
+
+    @pytest.mark.parametrize("chunk", (1, 2, 3, 4096))
+    @pytest.mark.parametrize("build", CASES)
+    def test_chunks_join_to_the_whole_text(self, monkeypatch, build, chunk):
+        monkeypatch.setattr(lattices, "_CHUNK", chunk)
+        lat = build()
+        for fmt, text in self.reference(lat).items():
+            chunks = list(lat.export(fmt))
+            assert "".join(chunks) == text
+            assert len(chunks) <= 3 + 2 * (lat.node_count + lat.edge_count) // chunk + 4
+        assert lat.to_edge_list() == self.reference(lat)["edges"]
+        assert lat.to_dot() == self.reference(lat)["dot"]
+
+    def test_json_dict_values(self):
+        lat = build_hypercube(2)
+        assert lat.to_json_dict() == {
+            "variant": "hypercube", "nodes": ["00", "01", "10", "11"],
+            "edges": [["00", "01"], ["00", "10"], ["01", "11"], ["10", "11"]]}
+
+    def test_unknown_format(self):
+        with pytest.raises(ValueError, match="unknown export format"):
+            list(build_hypercube(2).export("xml"))
 
 
 # sha256 of to_edge_list() + to_dot(), recorded from the all-pairs builders

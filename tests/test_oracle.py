@@ -360,3 +360,47 @@ def test_walk_does_not_recurse():
 def test_iter_parts_refuses_past_the_cap_at_the_call():
     with pytest.raises(ValueError, match="exceeds the enumeration cap 80"):
         iter_parts(ConstraintRecord(total=81))
+
+
+def _unpruned(c):
+    """The walk over every part value (step 1, gap 0) under the record's
+    arithmetic bounds, with every filter: what the parity pruning must
+    reproduce."""
+    if c.exact_parts is not None:
+        slots, exact = c.exact_parts, True
+    else:
+        slots, exact = (c.total if c.max_parts is None else c.max_parts), False
+    hi = min(b for b in (c.total, c.max_part, c.exact_max_part) if b is not None)
+    stream = oracle._walk(c.total, hi, max(c.min_part or 1, 1), slots, exact)
+    for keep in oracle._filters(c):
+        stream = filter(keep, stream)
+    return list(stream)
+
+
+BOUNDS = (0, 1, 2, 3, 5, 8)
+
+
+@pytest.mark.parametrize("total", range(23))
+def test_value_pruning_drops_only_filtered_tuples(total):
+    """All-odd and all-even draw every other value and distinct draws each
+    value once; the stream is still the full walk, filtered."""
+    part_bounds = [{}] + [{k: b} for k in ("max_part", "exact_max_part") for b in BOUNDS]
+    slot_bounds = [{}] + [{k: b} for k in ("max_parts", "exact_parts") for b in BOUNDS]
+    for parity in oracle.PARITY_CHOICES:
+        for parts in part_bounds:
+            for slots in slot_bounds:
+                for low in (None, 0, 1, 2, 3, 4):
+                    c = ConstraintRecord(total=total, parity=parity, min_part=low,
+                                         **parts, **slots)
+                    assert list(iter_parts(c)) == _unpruned(c), c
+
+
+@pytest.mark.parametrize("parity,step,gap", [("all-odd", 2, 0), ("all-even", 2, 0),
+                                             ("distinct", 1, 1)])
+def test_walk_draws_only_allowed_values(monkeypatch, parity, step, gap):
+    calls = []
+    walk = oracle._walk
+    monkeypatch.setattr(oracle, "_walk", lambda *a: calls.append(a[-2:]) or walk(*a))
+    assert count(ConstraintRecord(total=30, parity=parity)) == len(_unpruned(
+        ConstraintRecord(total=30, parity=parity)))
+    assert calls[0] == (step, gap)

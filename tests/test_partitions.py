@@ -127,6 +127,27 @@ class TestFerrers:
         with pytest.raises(ValueError):
             FerrersMatrix(((2, 0),))
 
+    def test_error_messages(self):
+        with pytest.raises(ValueError, match="^ragged grid$"):
+            FerrersMatrix(((1, 0), (1,)))
+        with pytest.raises(ValueError, match=r"^cell value 7 not in \{0,1\}$"):
+            FerrersMatrix(((1, 0), (0, 7), (5, 1)))
+
+    @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0), (1, 4), (4, 1), (3, 5)])
+    def test_whole_row_ops_match_the_cellwise_definitions(self, rows, cols):
+        for m in range(rows * cols + 1):
+            for q in all_partitions(m, max_part=cols, max_parts=rows):
+                f = q.to_ferrers(rows, cols)
+                ps = q.nonzero_parts + (0,) * (rows - q.nonzero_count)
+                assert f.cells == tuple(tuple(int(j < ps[i]) for j in range(cols))
+                                        for i in range(rows))
+                g = f.complement()
+                assert g.cells == tuple(tuple(1 - v for v in row) for row in f.cells)
+                assert g.transverse().cells == tuple(tuple(reversed(row))
+                                                     for row in reversed(g.cells))
+                assert f.transpose().cells == tuple(tuple(f.cells[i][j] for i in range(rows))
+                                                    for j in range(f.cols))
+
 
 class TestBoxComplement:
     def test_worked_example(self):
