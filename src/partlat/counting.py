@@ -321,8 +321,10 @@ def diagonal_sum(frame: int) -> int:
 
 
 def diagonal_power_law(frame: int) -> bool:
-    """Check diagonal_sum(frame) == 2**(frame-1).  Verified here for small
-    frames; stated in the source as a conjecture for all of them."""
+    """Check diagonal_sum(frame) == 2**(frame-1).  The source states it as
+    a conjecture; it follows from the binomial rows: frame d holds
+    C(d-1, a) partitions in each a x (d-1-a) interior box (see
+    :func:`binomial_row`), and these sum to 2**(d-1)."""
     return diagonal_sum(frame) == 2 ** (frame - 1)
 
 

@@ -261,12 +261,6 @@ class MultiplicityVector:
     def weighted_sum(self) -> int:
         return sum((self.base + i) * c for i, c in enumerate(self.counts))
 
-    def count_of(self, value: int) -> int:
-        i = value - self.base
-        if 0 <= i < len(self.counts):
-            return self.counts[i]
-        return 0
-
     def shift(self, s: int) -> "MultiplicityVector":
         """Same count pattern on a scale shifted by s; the weighted sum
         changes by s * dimension."""

@@ -128,9 +128,6 @@ class TruncatedSeries:
             inv[n] = -c0 * s
         return TruncatedSeries(tuple(inv))
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        return TruncatedSeries.from_coefficients(self.coefficients, order)
-
 
 def _alternating_product(order: int, sign: int) -> TruncatedSeries:
     """(1 + sign*t)(1 + sign*t^2)...(1 + sign*t^order), truncated, expanded

@@ -1,9 +1,11 @@
 """Self-verification: every structural identity the library promises, run
 against the brute-force oracle, plus confirmation of the documented errata.
 
-Each check returns None on success or a short first-counterexample string.
-Errata demonstrations are reported separately: they are expected
-discrepancies, so an unconfirmed one is loud but does not fail the run.
+Each check returns None on success or a short first-counterexample string,
+and its ``CHECKS`` entry declares the largest total it reads, so a
+``max_total`` above that changes nothing for it.  Errata demonstrations are
+reported separately: they are expected discrepancies, so an unconfirmed one
+is loud but does not fail the run.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import product
+from typing import Callable, Iterable
 
 from . import counting, errata, intmatrix, lattices, schemes, series
 from .oracle import ConstraintRecord, classify, count, enumerate_partitions
@@ -19,6 +23,20 @@ from .partitions import Partition
 RANDOM_SEED = 20240517
 # Largest max_total verify_suite accepts.
 MAX_TOTAL = 25
+
+
+@dataclass(frozen=True)
+class Check:
+    """A named invariant.  ``fn`` returns None or a first counterexample;
+    ``cap`` is the largest total it reads from ``max_total``: it runs as
+    ``fn(min(max_total, cap))``, or as ``fn()`` when ``cap`` is None."""
+
+    name: str
+    fn: Callable[..., str | None]
+    cap: int | None = None
+
+    def run(self, max_total: int) -> str | None:
+        return self.fn() if self.cap is None else self.fn(min(max_total, self.cap))
 
 
 @dataclass(frozen=True)
@@ -53,8 +71,8 @@ def _all_partitions(total: int) -> list[Partition]:
 
 # -- core value checks -----------------------------------------------------
 
-def _conjugate_transpose(max_total):
-    for m in range(max_total + 1):
+def _conjugate_transpose(top):
+    for m in range(top + 1):
         for q in _all_partitions(m):
             if not q.nonzero_parts:
                 continue
@@ -64,7 +82,7 @@ def _conjugate_transpose(max_total):
     return None
 
 
-def _frame_involutions(_):
+def _frame_involutions():
     for m in range(17):
         for q in enumerate_partitions(ConstraintRecord(total=m, max_part=4, max_parts=4)):
             f = q.to_ferrers(4, 4)
@@ -77,7 +95,7 @@ def _frame_involutions(_):
     return None
 
 
-def _complement_sum_law(_):
+def _complement_sum_law():
     for m in range(21):
         for q in enumerate_partitions(ConstraintRecord(total=m, max_part=5, max_parts=4)):
             c = q.box_complement(4, 5)
@@ -86,10 +104,10 @@ def _complement_sum_law(_):
     return None
 
 
-def _multiplicity_round_trip(max_total):
+def _multiplicity_round_trip(top):
     from .partitions import from_multiplicity
 
-    for m in range(min(max_total, 12) + 1):
+    for m in range(top + 1):
         for q in _all_partitions(m):
             back = from_multiplicity(q.to_multiplicity(0))
             if tuple(v for v in back if v > 0) != q.nonzero_parts:
@@ -97,11 +115,11 @@ def _multiplicity_round_trip(max_total):
     return None
 
 
-def _shift_invariance(max_total):
+def _shift_invariance(top):
     # Shifting the n parts of a partition of m - n(r-1) by r - 1 lands on
     # total m; shifting again by s must agree with one shift by r + s - 1,
     # scale base included, and move the total by n * s.
-    for m in range(1, min(max_total, 12) + 1):
+    for m in range(1, top + 1):
         for n in range(1, 5):
             for r in range(-3, 4):
                 base_total = m - n * (r - 1)
@@ -120,8 +138,8 @@ def _shift_invariance(max_total):
     return None
 
 
-def _layer_consistency(max_total):
-    for m in range(1, min(max_total, 14) + 1):
+def _layer_consistency(top):
+    for m in range(1, top + 1):
         for q in _all_partitions(m):
             if q.layer() != q.total - q.hook_frame_size() + 1:
                 return f"partition {q.parts}"
@@ -130,8 +148,8 @@ def _layer_consistency(max_total):
 
 # -- oracle checks -----------------------------------------------------------
 
-def _oracle_uniqueness(max_total):
-    for m in range(min(max_total, 14) + 1):
+def _oracle_uniqueness(top):
+    for m in range(top + 1):
         qs = _all_partitions(m)
         if len({q.nonzero_parts for q in qs}) != len(qs):
             return f"duplicate at total {m}"
@@ -141,8 +159,8 @@ def _oracle_uniqueness(max_total):
     return None
 
 
-def _oracle_conjugation(max_total):
-    for m in range(1, min(max_total, 12) + 1):
+def _oracle_conjugation(top):
+    for m in range(1, top + 1):
         for a in range(1, m + 1):
             for b in range(1, m + 1):
                 lhs = count(ConstraintRecord(total=m, exact_max_part=a, exact_parts=b))
@@ -152,7 +170,7 @@ def _oracle_conjugation(max_total):
     return None
 
 
-def _oracle_complement(_):
+def _oracle_complement():
     for a in range(1, 6):
         for b in range(1, 6):
             if a * b > 20:
@@ -165,8 +183,8 @@ def _oracle_complement(_):
     return None
 
 
-def _oracle_determinism(max_total):
-    for m in (0, 3, min(max_total, 9)):
+def _oracle_determinism(top):
+    for m in (0, 3, top):
         one = [q.parts for q in _all_partitions(m)]
         two = [q.parts for q in _all_partitions(m)]
         if one != two:
@@ -176,108 +194,87 @@ def _oracle_determinism(max_total):
 
 # -- counting vs oracle -------------------------------------------------------
 
-def _equivalence_at(m: int, p_m: int) -> str | None:
-    """Every counting function at total ``m`` against the oracle; ``p_m``
-    is the pentagonal p(m)."""
-    if p_m != count(ConstraintRecord(total=m)):
-        return f"p({m})"
-    if counting.p_row_sum(m) != p_m:
-        return f"p_row_sum({m})"
-    for n in range(m + 2):
-        if counting.p_exact(m, n) != count(ConstraintRecord(total=m, exact_parts=n)):
-            return f"p_exact({m},{n})"
-        if counting.p_atmost(m, n) != count(ConstraintRecord(total=m, max_parts=n)):
-            return f"p_atmost({m},{n})"
-    for a in range(6):
-        for b in range(6):
-            if counting.p_box(a, b, m) != count(
-                    ConstraintRecord(total=m, max_part=a, max_parts=b)):
-                return f"p_box({a},{b},{m})"
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            got = counting.exact_frame(a, b, m)
-            want = count(ConstraintRecord(total=m, exact_max_part=a, exact_parts=b))
-            if got != want:
-                return f"exact_frame({a},{b},{m})"
-    for n in range(1, m + 1):
-        for r in (1, 2, 3):
-            got = counting.p_min_part(m, n, r)
-            want = count(ConstraintRecord(total=m, exact_parts=n, min_part=r))
-            if got != want:
-                return f"p_min_part({m},{n},{r})"
-    if m >= 1:
-        odd, even, mixed, total = counting.odd_even_mixed(m)
-        if odd != count(ConstraintRecord(total=m, parity="all-odd")):
-            return f"odd({m})"
-        if even != count(ConstraintRecord(total=m, parity="all-even")):
-            return f"even({m})"
-        if mixed != count(ConstraintRecord(total=m, parity="mixed")):
-            return f"mixed({m})"
-        counts, _ = counting.distinct_row(m)
-        by_k = classify(ConstraintRecord(total=m, parity="distinct"), "exact_parts")
-        for k, c in enumerate(counts, start=1):
-            if by_k.get(k, 0) != c:
-                return f"distinct({m}) parts {k}"
-    for j in range(m + 1):
-        if counting.unit_diff_cell(m, j) != count(ConstraintRecord(total=m, unit_count=j)):
-            return f"unit_diff({m},{j})"
-    for k in range(1, m + 1):
-        if counting.layer_count(m, k) != count(ConstraintRecord(total=m, layer=k)):
-            return f"layer_count({m},{k})"
-    for a in range(1, m + 1):
-        got = counting.p_with_largest(a, m)
-        want = count(ConstraintRecord(total=m, exact_max_part=a))
-        if got != want:
-            return f"p_with_largest({a},{m})"
+@dataclass(frozen=True)
+class _Equivalence:
+    """A counting function against the oracle: ``value(*a)`` is the oracle
+    count with ``fields`` set to ``a`` and the ``parity`` filter, for each
+    ``a`` in ``args(m)`` at total m."""
+
+    name: str
+    fields: tuple[str, ...]
+    args: Callable[[int], Iterable[tuple[int, ...]]]
+    value: Callable[..., int]
+    parity: str = "none"
+
+    def mismatch(self, args: tuple[int, ...]) -> str | None:
+        want = count(ConstraintRecord(parity=self.parity, **dict(zip(self.fields, args))))
+        if self.value(*args) != want:
+            return f"{self.name}({','.join(map(str, args))})"
+        return None
+
+
+# Both cross-checks read these argument sets: the exhaustive one all of each,
+# the random one a drawn tuple.  Each value looks its counting function up at
+# call time, so a patched or wrapped one is the one checked.
+_EQUIVALENCES = (
+    _Equivalence("p", ("total",), lambda m: [(m,)], lambda m: counting.p(m)),
+    _Equivalence("p_row_sum", ("total",), lambda m: [(m,)], lambda m: counting.p_row_sum(m)),
+    _Equivalence("p_exact", ("total", "exact_parts"), lambda m: product((m,), range(m + 2)),
+                 lambda m, n: counting.p_exact(m, n)),
+    _Equivalence("p_atmost", ("total", "max_parts"), lambda m: product((m,), range(m + 2)),
+                 lambda m, n: counting.p_atmost(m, n)),
+    _Equivalence("p_box", ("max_part", "max_parts", "total"),
+                 lambda m: product(range(8), range(8), (m,)),
+                 lambda a, b, m: counting.p_box(a, b, m)),
+    _Equivalence("exact_frame", ("exact_max_part", "exact_parts", "total"),
+                 lambda m: product(range(1, m + 1), range(1, m + 1), (m,)),
+                 lambda a, b, m: counting.exact_frame(a, b, m)),
+    _Equivalence("p_min_part", ("total", "exact_parts", "min_part"),
+                 lambda m: product((m,), range(1, m + 1), (1, 2, 3)),
+                 lambda m, n, r: counting.p_min_part(m, n, r)),
+    _Equivalence("odd", ("total",), lambda m: [(m,)] if m else [],
+                 lambda m: counting.odd_even_mixed(m)[0], "all-odd"),
+    _Equivalence("even", ("total",), lambda m: [(m,)] if m else [],
+                 lambda m: counting.odd_even_mixed(m)[1], "all-even"),
+    _Equivalence("mixed", ("total",), lambda m: [(m,)] if m else [],
+                 lambda m: counting.odd_even_mixed(m)[2], "mixed"),
+    # distinct_row(m) holds one count for each k with 1 + 2 + ... + k <= m.
+    _Equivalence("distinct", ("total", "exact_parts"),
+                 lambda m: product((m,), range(1, (math.isqrt(8 * m + 1) + 1) // 2)),
+                 lambda m, k: counting.distinct_row(m)[0][k - 1], "distinct"),
+    _Equivalence("unit_diff", ("total", "unit_count"), lambda m: product((m,), range(m + 1)),
+                 lambda m, j: counting.unit_diff_cell(m, j)),
+    _Equivalence("layer_count", ("total", "layer"), lambda m: product((m,), range(1, m + 1)),
+                 lambda m, k: counting.layer_count(m, k)),
+    _Equivalence("p_with_largest", ("exact_max_part", "total"),
+                 lambda m: product(range(1, m + 1), (m,)),
+                 lambda a, m: counting.p_with_largest(a, m)),
+)
+
+
+def _counting_oracle_exhaustive(top):
+    for m in range(top + 1):
+        for e in _EQUIVALENCES:
+            for args in e.args(m):
+                bad = e.mismatch(args)
+                if bad:
+                    return bad
     return None
 
 
-def _counting_oracle_exhaustive(max_total):
-    numbers = counting._partition_numbers(min(max_total, 14))
-    for m, p_m in enumerate(numbers):
-        bad = _equivalence_at(m, p_m)
+def _counting_oracle_random():
+    rng = random.Random(RANDOM_SEED)
+    for _case in range(200):
+        m = rng.randint(15, 25)
+        e = rng.choice(_EQUIVALENCES)
+        bad = e.mismatch(rng.choice(list(e.args(m))))
         if bad:
             return bad
     return None
 
 
-def _counting_oracle_random(_):
-    rng = random.Random(RANDOM_SEED)
-    numbers = counting._partition_numbers(25)
-    for _case in range(200):
-        m = rng.randint(15, 25)
-        kind = rng.randrange(6)
-        if kind == 0:
-            if numbers[m] != count(ConstraintRecord(total=m)):
-                return f"p({m})"
-        elif kind == 1:
-            n = rng.randint(1, m)
-            if counting.p_exact(m, n) != count(ConstraintRecord(total=m, exact_parts=n)):
-                return f"p_exact({m},{n})"
-        elif kind == 2:
-            n = rng.randint(0, m)
-            if counting.p_atmost(m, n) != count(ConstraintRecord(total=m, max_parts=n)):
-                return f"p_atmost({m},{n})"
-        elif kind == 3:
-            a, b = rng.randint(0, 7), rng.randint(0, 7)
-            if counting.p_box(a, b, m) != count(
-                    ConstraintRecord(total=m, max_part=a, max_parts=b)):
-                return f"p_box({a},{b},{m})"
-        elif kind == 4:
-            a, b = rng.randint(1, m), rng.randint(1, m)
-            got = counting.exact_frame(a, b, m)
-            want = count(ConstraintRecord(total=m, exact_max_part=a, exact_parts=b))
-            if got != want:
-                return f"exact_frame({a},{b},{m})"
-        else:
-            k = rng.randint(1, m)
-            if counting.layer_count(m, k) != count(ConstraintRecord(total=m, layer=k)):
-                return f"layer_count({m},{k})"
-    return None
-
-
-def _exact_frame_conjugation(max_total):
-    for m in range(1, min(max_total, 12) + 1):
+def _exact_frame_conjugation(top):
+    for m in range(1, top + 1):
         for a in range(1, m + 1):
             for b in range(1, m + 1):
                 if counting.exact_frame(a, b, m) != counting.exact_frame(b, a, m):
@@ -285,7 +282,7 @@ def _exact_frame_conjugation(max_total):
     return None
 
 
-def _box_complement_law(_):
+def _box_complement_law():
     for a in range(6):
         for b in range(6):
             for m in range(a * b + 1):
@@ -294,7 +291,7 @@ def _box_complement_law(_):
     return None
 
 
-def _box_unimodality(_):
+def _box_unimodality():
     for a in range(6):
         for b in range(6):
             vals = [counting.p_box(a, b, m) for m in range(a * b + 1)]
@@ -306,7 +303,7 @@ def _box_unimodality(_):
     return None
 
 
-def _atmost_stabilization(_):
+def _atmost_stabilization():
     for m, p_m in enumerate(counting._partition_numbers(20)):
         for n in range(m, m + 6):
             if counting.p_atmost(m, n) != p_m:
@@ -314,14 +311,14 @@ def _atmost_stabilization(_):
     return None
 
 
-def _pentagonal_vs_rowsum(_):
+def _pentagonal_vs_rowsum():
     for m, p_m in enumerate(counting._partition_numbers(60)):
         if p_m != counting.p_row_sum(m):
             return f"M={m}"
     return None
 
 
-def _parity_partition(_):
+def _parity_partition():
     numbers = counting._partition_numbers(20)
     for m in range(1, 21):
         odd, even, mixed, total = counting.odd_even_mixed(m)
@@ -330,7 +327,7 @@ def _parity_partition(_):
     return None
 
 
-def _distinct_sign_law(_):
+def _distinct_sign_law():
     for m in range(1, 31):
         _, diff = counting.distinct_row(m)
         if diff != -series.euler_coefficient(m):
@@ -338,14 +335,14 @@ def _distinct_sign_law(_):
     return None
 
 
-def _diagonal_power_law(_):
+def _diagonal_power_law():
     for d in range(1, 15):
         if not counting.diagonal_power_law(d):
             return f"d={d}: {counting.diagonal_sum(d)} != {2 ** (d - 1)}"
     return None
 
 
-def _binomial_rows(_):
+def _binomial_rows():
     for r in range(1, 15):
         row = counting.binomial_row(r)
         if row != tuple(math.comb(r - 1, k - 1) for k in range(1, r + 1)):
@@ -355,8 +352,7 @@ def _binomial_rows(_):
     return None
 
 
-def _neighbor_row_sums(max_total):
-    top = min(max_total, 12)
+def _neighbor_row_sums(top):
     table = counting.right_hand_neighbor_table(max(top, 2))
     for m in range(2, top + 1):
         walked = lattices.column_edge_counts(m)
@@ -369,7 +365,7 @@ def _neighbor_row_sums(max_total):
 
 # -- series checks -------------------------------------------------------------
 
-def _series_invert_exactness(_):
+def _series_invert_exactness():
     rng = random.Random(RANDOM_SEED)
     one = series.TruncatedSeries.one(32)
     for _case in range(100):
@@ -380,7 +376,7 @@ def _series_invert_exactness(_):
     return None
 
 
-def _partition_series_vs_counting(_):
+def _partition_series_vs_counting():
     ps = series.partition_series(60)
     for m, p_m in enumerate(counting._partition_numbers(60)):
         if ps[m] != p_m:
@@ -388,7 +384,7 @@ def _partition_series_vs_counting(_):
     return None
 
 
-def _euler_support(_):
+def _euler_support():
     ep = series.euler_product(100)
     pent = {}
     for k in range(1, 10):
@@ -402,7 +398,7 @@ def _euler_support(_):
     return None
 
 
-def _capped_product_box(_):
+def _capped_product_box():
     # Uncapped products over parts 1..a are the one-sided box counts.
     for a in range(1, 6):
         s = series.capped_product([(k, None) for k in range(1, a + 1)], 12)
@@ -428,7 +424,7 @@ def _capped_product_box(_):
 
 # -- matrix checks ----------------------------------------------------------------
 
-def _unitriangular_inverse_exact(_):
+def _unitriangular_inverse_exact():
     sizes = list(range(1, 11)) + [20, 50]
     for n in sizes:
         for make in (intmatrix.exact_parts_matrix, intmatrix.unit_diff_matrix,
@@ -440,7 +436,7 @@ def _unitriangular_inverse_exact(_):
     return None
 
 
-def _partition_euler_identity(_):
+def _partition_euler_identity():
     n = 50
     prod = intmatrix.multiply(intmatrix.partition_matrix(n), intmatrix.euler_matrix(n))
     if prod.entries != intmatrix.identity(n).entries:
@@ -448,7 +444,7 @@ def _partition_euler_identity(_):
     return None
 
 
-def _toeplitz_shift(_):
+def _toeplitz_shift():
     for make in (intmatrix.partition_matrix, intmatrix.euler_matrix):
         a = make(12)
         col0 = a.column(0)
@@ -458,7 +454,7 @@ def _toeplitz_shift(_):
     return None
 
 
-def _cumulative_relation(_):
+def _cumulative_relation():
     n = 20
     exact = intmatrix.from_cell(n, lambda i, j: counting.p_exact(i, j))
     atmost = intmatrix.from_cell(n, lambda i, j: counting.p_atmost(i, j))
@@ -473,8 +469,8 @@ def _cumulative_relation(_):
 
 # -- scheme and lattice checks ------------------------------------------------------
 
-def _scheme_symmetry(max_total):
-    for m in range(1, min(max_total, 14) + 1):
+def _scheme_symmetry(top):
+    for m in range(1, top + 1):
         t = schemes.build_scheme(m)
         for a in range(1, m + 1):
             for b in range(1, m + 1):
@@ -483,9 +479,9 @@ def _scheme_symmetry(max_total):
     return None
 
 
-def _scheme_totals(max_total):
-    numbers = counting._partition_numbers(min(max_total, 14))
-    for m in range(1, min(max_total, 14) + 1):
+def _scheme_totals(top):
+    numbers = counting._partition_numbers(top)
+    for m in range(1, top + 1):
         t = schemes.build_scheme(m)
         if t.total != numbers[m]:
             return f"scheme {m} total"
@@ -498,7 +494,7 @@ def _scheme_totals(max_total):
     return None
 
 
-def _scheme_unitriangular(_):
+def _scheme_unitriangular():
     for m in range(1, 15):
         intmatrix.scheme_matrix(m)  # the shape tag is validated on construction
     return None
@@ -526,15 +522,15 @@ def _edge_parts(lat, total: int):
     return (((x, y), (parts[x], parts[y])) for x, y in lat.edges)
 
 
-def _unit_exchange_edges(max_total):
-    for m in range(2, min(max_total, 8) + 1):
+def _unit_exchange_edges(top):
+    for m in range(2, top + 1):
         for (x, y), (a, b) in _edge_parts(lattices.build_unit_exchange(m, m), m):
             if a == b or not _one_unit_apart(a, b):
                 return f"edge {x} -- {y} in lattice of {m}"
     return None
 
 
-def _figure_edges(_):
+def _figure_edges():
     lat = lattices.build_unit_exchange(7, 7)
     edges = set(lat.edges)
     wanted = [
@@ -551,15 +547,15 @@ def _figure_edges(_):
     return None
 
 
-def _split_merge_graded(max_total):
-    for m in range(2, min(max_total, 7) + 1):
+def _split_merge_graded(top):
+    for m in range(2, top + 1):
         for (x, y), (a, b) in _edge_parts(lattices.build_split_merge(m, m), m):
             if abs(a.count(0) - b.count(0)) != 1:
                 return f"edge {x} -- {y}"
     return None
 
 
-def _subset_swap_shape(_):
+def _subset_swap_shape():
     lat = lattices.build_subset_swap(5, 3)
     if lat.node_count != 10 or lat.edge_count != 30:
         return f"{lat.node_count} nodes, {lat.edge_count} edges"
@@ -568,7 +564,7 @@ def _subset_swap_shape(_):
     return None
 
 
-def _petersen_shape(_):
+def _petersen_shape():
     for ones in (2, 3):
         lat = lattices.build_subset_double_swap(5, ones)
         if lat.node_count != 10 or lat.edge_count != 15:
@@ -578,14 +574,14 @@ def _petersen_shape(_):
     return None
 
 
-def _hypercube_shape(_):
+def _hypercube_shape():
     lat = lattices.build_hypercube(3)
     if lat.node_count != 8 or lat.edge_count != 12:
         return f"{lat.node_count}/{lat.edge_count}"
     return None
 
 
-def _worked_distances(_):
+def _worked_distances():
     unit = lattices.build_unit_exchange(6, 3)
     if lattices.distance(unit, "330", "411") != 2:
         return "unit-exchange 330 -> 411"
@@ -598,46 +594,46 @@ def _worked_distances(_):
 
 
 CHECKS = (
-    ("conjugate-matches-transpose", _conjugate_transpose),
-    ("frame-involutions", _frame_involutions),
-    ("complement-sum-law", _complement_sum_law),
-    ("multiplicity-round-trip", _multiplicity_round_trip),
-    ("shift-invariance", _shift_invariance),
-    ("layer-consistency", _layer_consistency),
-    ("oracle-uniqueness", _oracle_uniqueness),
-    ("oracle-conjugation-symmetry", _oracle_conjugation),
-    ("oracle-complement-symmetry", _oracle_complement),
-    ("oracle-determinism", _oracle_determinism),
-    ("counting-oracle-exhaustive", _counting_oracle_exhaustive),
-    ("counting-oracle-random", _counting_oracle_random),
-    ("exact-frame-conjugation", _exact_frame_conjugation),
-    ("box-complement-law", _box_complement_law),
-    ("box-unimodality", _box_unimodality),
-    ("atmost-stabilization", _atmost_stabilization),
-    ("pentagonal-vs-rowsum", _pentagonal_vs_rowsum),
-    ("parity-partition", _parity_partition),
-    ("distinct-sign-law", _distinct_sign_law),
-    ("diagonal-power-law", _diagonal_power_law),
-    ("binomial-rows", _binomial_rows),
-    ("neighbor-row-sums", _neighbor_row_sums),
-    ("series-invert-exactness", _series_invert_exactness),
-    ("partition-series-vs-counting", _partition_series_vs_counting),
-    ("euler-support-pentagonal", _euler_support),
-    ("capped-product-box", _capped_product_box),
-    ("unitriangular-inverse-exact", _unitriangular_inverse_exact),
-    ("partition-euler-identity", _partition_euler_identity),
-    ("toeplitz-shift", _toeplitz_shift),
-    ("cumulative-table-relation", _cumulative_relation),
-    ("scheme-symmetry", _scheme_symmetry),
-    ("scheme-totals", _scheme_totals),
-    ("scheme-unitriangular", _scheme_unitriangular),
-    ("unit-exchange-edge-shape", _unit_exchange_edges),
-    ("figure-edges-present", _figure_edges),
-    ("split-merge-graded", _split_merge_graded),
-    ("subset-swap-shape", _subset_swap_shape),
-    ("petersen-shape", _petersen_shape),
-    ("hypercube-shape", _hypercube_shape),
-    ("worked-distances", _worked_distances),
+    Check("conjugate-matches-transpose", _conjugate_transpose, MAX_TOTAL),
+    Check("frame-involutions", _frame_involutions),
+    Check("complement-sum-law", _complement_sum_law),
+    Check("multiplicity-round-trip", _multiplicity_round_trip, 12),
+    Check("shift-invariance", _shift_invariance, 12),
+    Check("layer-consistency", _layer_consistency, 14),
+    Check("oracle-uniqueness", _oracle_uniqueness, 14),
+    Check("oracle-conjugation-symmetry", _oracle_conjugation, 12),
+    Check("oracle-complement-symmetry", _oracle_complement),
+    Check("oracle-determinism", _oracle_determinism, 9),
+    Check("counting-oracle-exhaustive", _counting_oracle_exhaustive, 14),
+    Check("counting-oracle-random", _counting_oracle_random),
+    Check("exact-frame-conjugation", _exact_frame_conjugation, 12),
+    Check("box-complement-law", _box_complement_law),
+    Check("box-unimodality", _box_unimodality),
+    Check("atmost-stabilization", _atmost_stabilization),
+    Check("pentagonal-vs-rowsum", _pentagonal_vs_rowsum),
+    Check("parity-partition", _parity_partition),
+    Check("distinct-sign-law", _distinct_sign_law),
+    Check("diagonal-power-law", _diagonal_power_law),
+    Check("binomial-rows", _binomial_rows),
+    Check("neighbor-row-sums", _neighbor_row_sums, 12),
+    Check("series-invert-exactness", _series_invert_exactness),
+    Check("partition-series-vs-counting", _partition_series_vs_counting),
+    Check("euler-support-pentagonal", _euler_support),
+    Check("capped-product-box", _capped_product_box),
+    Check("unitriangular-inverse-exact", _unitriangular_inverse_exact),
+    Check("partition-euler-identity", _partition_euler_identity),
+    Check("toeplitz-shift", _toeplitz_shift),
+    Check("cumulative-table-relation", _cumulative_relation),
+    Check("scheme-symmetry", _scheme_symmetry, 14),
+    Check("scheme-totals", _scheme_totals, 14),
+    Check("scheme-unitriangular", _scheme_unitriangular),
+    Check("unit-exchange-edge-shape", _unit_exchange_edges, 8),
+    Check("figure-edges-present", _figure_edges),
+    Check("split-merge-graded", _split_merge_graded, 7),
+    Check("subset-swap-shape", _subset_swap_shape),
+    Check("petersen-shape", _petersen_shape),
+    Check("hypercube-shape", _hypercube_shape),
+    Check("worked-distances", _worked_distances),
 )
 
 
@@ -646,12 +642,12 @@ def verify_suite(max_total: int = 12) -> Report:
     if not 1 <= max_total <= MAX_TOTAL:
         raise ValueError(f"max_total must be between 1 and {MAX_TOTAL}")
     results = []
-    for name, fn in CHECKS:
+    for check in CHECKS:
         try:
-            detail = fn(max_total)
+            detail = check.run(max_total)
         except Exception as exc:  # a crash is a failure with the exception as witness
             detail = f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, "invariant", detail is None, detail or ""))
+        results.append(CheckResult(check.name, "invariant", detail is None, detail or ""))
     for e in errata.ERRATA:
         try:
             ok = e.confirm()

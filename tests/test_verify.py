@@ -1,14 +1,19 @@
 """Checks of the verify suite itself: a check must be able to fail."""
 
+from dataclasses import replace
+
 import pytest
 
 from partlat import verify
 from partlat.partitions import MultiplicityVector
 
 
+def check_named(name: str) -> verify.Check:
+    return next(c for c in verify.CHECKS if c.name == name)
+
+
 def names_failure(name: str, max_total: int = 12) -> str:
-    fn = dict(verify.CHECKS)[name]
-    return fn(max_total)
+    return check_named(name).run(max_total)
 
 
 def test_shift_invariance_passes_on_the_real_shift():
@@ -27,3 +32,35 @@ def test_shift_invariance_names_a_wrong_shift(monkeypatch, wrong_base):
     assert detail is not None and detail.startswith("m=")
     result = {r.name: r for r in verify.verify_suite(12).results}["shift-invariance"]
     assert not result.ok and result.detail == detail
+
+
+@pytest.mark.parametrize("check", verify.CHECKS, ids=[c.name for c in verify.CHECKS])
+def test_each_check_passes_at_its_cap(check):
+    assert check.run(verify.MAX_TOTAL) is None
+
+
+@pytest.mark.parametrize("max_total", (1, 5, 25))
+def test_each_check_reads_its_declared_bound(monkeypatch, max_total):
+    calls = {}
+
+    def recorder(name):
+        def fn(*args):
+            calls[name] = args
+        return fn
+
+    monkeypatch.setattr(verify, "CHECKS", tuple(replace(c, fn=recorder(c.name))
+                                               for c in verify.CHECKS))
+    assert verify.verify_suite(max_total).ok
+    assert calls == {c.name: () if c.cap is None else (min(max_total, c.cap),)
+                     for c in verify.CHECKS}
+
+
+@pytest.mark.parametrize("family", verify._EQUIVALENCES,
+                         ids=[e.name for e in verify._EQUIVALENCES])
+def test_an_off_by_one_family_is_named_by_both_cross_checks(monkeypatch, family):
+    broken = replace(family, value=lambda *args: family.value(*args) + 1)
+    monkeypatch.setattr(verify, "_EQUIVALENCES", tuple(broken if e is family else e
+                                                       for e in verify._EQUIVALENCES))
+    for name in ("counting-oracle-exhaustive", "counting-oracle-random"):
+        detail = names_failure(name, verify.MAX_TOTAL)
+        assert detail is not None and detail.startswith(f"{family.name}("), (name, detail)
