@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from . import counting, errata, intmatrix, lattices, oracle, schemes, series, verify
 from .partitions import label_of
-from .tables import CountTable, render
+from .tables import FORMATS, CountTable, render
 
 
 class Range(NamedTuple):
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--edge", type=int, default=3, help="box tables: largest edge size")
     t.add_argument("--dim", type=int, default=3, help="box tables: number of part slots")
     t.add_argument("--total", type=int, default=7, help="scheme tables: the partitioned total")
-    t.add_argument("--format", choices=("tsv", "csv", "json", "md"), default="tsv")
+    t.add_argument("--format", choices=FORMATS, default="tsv")
     t.set_defaults(fn=_cmd_table)
 
     c = sub.add_parser("count", help="count (or list) partitions under constraints")
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--total", type=int, required=True,
                    help=f"the partitioned total ({SCHEME_TOTAL.low}..{SCHEME_TOTAL.cap})")
     s.add_argument("--inverse", action="store_true")
-    s.add_argument("--format", choices=("tsv", "csv", "json", "md"), default="tsv")
+    s.add_argument("--format", choices=FORMATS, default="tsv")
     s.set_defaults(fn=_cmd_scheme)
 
     g = sub.add_parser("lattice", help="emit an orbit lattice")

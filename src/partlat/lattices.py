@@ -12,15 +12,16 @@ subset-double-swap  fixed-weight bit strings, edges at Hamming distance 4
                     graph).
 hypercube           all d-bit strings, edges at Hamming distance 1.
 
-Builders work on padded part tuples or bit masks and generate each node's
-neighbours from it directly, so a build costs time proportional to its
-edges.  The nodes are integers: node i is the i-th canonical text label in
-lexicographic order, so exports are byte-stable.  The edges are two
-``array('I')`` columns of node pairs i < j, sorted, and the queries run on
-a compressed adjacency (offsets and targets arrays) built on first use.
-Each node is labelled once, and labels serve only lookup and export:
-``OrbitLattice.edges`` pairs them on demand, and :meth:`OrbitLattice.export`
-streams each text format in chunks.
+Builders generate each edge once, from one of its ends, working on padded
+part tuples or bit masks, so a build costs time proportional to its edges;
+the collector visits the nodes last to first.  The nodes are integers:
+node i is the i-th canonical text label in lexicographic order, so exports
+are byte-stable.  The edges are two ``array('I')`` columns of sorted node
+pairs i < j, and the queries run on a compressed adjacency (offsets and
+targets arrays) built on first use.  Each node is labelled once, and
+labels serve only lookup and export: ``OrbitLattice.edges`` pairs them on
+demand, and :meth:`OrbitLattice.export` streams each text format in
+chunks.
 
 ``NODE_CAP`` and ``EDGE_CAP`` refuse graphs too large to materialize, every
 variant by its closed-form node and edge counts before any work: binomial
@@ -278,29 +279,29 @@ def _check_columns(nodes: int, low: array, high: array) -> None:
         raise ValueError(f"edge columns are not increasing pairs i < j < {nodes}")
 
 
-def _collect(variant: str, nodes: dict, moves, one_way: bool = False) -> OrbitLattice:
+def _collect(variant: str, nodes: dict, moves) -> OrbitLattice:
     """The lattice on ``nodes`` ({node: label}) whose edges join each node
-    to the nodes ``moves(node)`` yields.  The nodes are numbered in label
-    order.  The moves of every node are distinct; they are symmetric, so
-    each edge is kept from its lower end, unless ``one_way``: then each
-    edge is met from one end only, whichever it is."""
+    to the nodes ``moves(node)`` yields, each edge from one of its ends.
+    Nodes are numbered in label order and visited last to first; a move to
+    an earlier node waits in ``behind`` until its turn, so only edges met
+    at their higher end are held.  :func:`_check_columns` refuses a
+    self-move or an edge yielded from both ends, as a repeated pair."""
     order = sorted(nodes, key=nodes.__getitem__)
     index = dict(zip(order, range(len(order)))).__getitem__
-    if one_way:
-        higher = [[] for _ in order]
-        for i, node in enumerate(order):
-            for j in map(index, moves(node)):
-                if j > i:
-                    higher[i].append(j)
-                else:
-                    higher[j].append(i)
-    else:
-        higher = ([j for j in map(index, moves(node)) if j > i] for i, node in enumerate(order))
+    behind = {}
     low, high = array("I"), array("I")
-    for i, js in enumerate(higher):
-        js.sort()
-        low.extend(repeat(i, len(js)))
-        high.extend(js)
+    for i in range(len(order) - 1, -1, -1):
+        row = behind.pop(i, [])
+        for j in map(index, moves(order[i])):
+            if j >= i:
+                row.append(j)
+            else:
+                behind.setdefault(j, []).append(i)
+        row.sort(reverse=True)
+        low.extend(repeat(i, len(row)))
+        high.extend(row)
+    low.reverse()
+    high.reverse()
     _check_columns(len(order), low, high)
     return OrbitLattice._from_columns(variant, tuple(map(nodes.__getitem__, order)), low, high)
 
@@ -335,18 +336,17 @@ def _partition_nodes(total: int, slots: int) -> dict[bytes, str]:
 
 
 def _unit_moves(parts: bytes) -> list[bytes]:
-    """Move one unit from the last slot holding x > 0 to the first slot
-    holding y, for each pair of values with y != x - 1; parts stay sorted."""
-    first = {v: parts.index(v) for v in dict.fromkeys(parts)}
+    """Level two parts: move one unit from the last slot holding x to the
+    first slot holding y, for each pair of values y < x - 1; parts stay
+    sorted.  From its other end the move is onto a part at least as large."""
+    values = list(dict.fromkeys(parts))  # decreasing; the last has no y
+    starts = [parts.index(v) for v in values]
     out = []
-    for x, i in first.items():
-        if not x:
-            continue
-        i += parts.count(x) - 1
+    for k, x in enumerate(values[:-1]):
         moved = bytearray(parts)
-        moved[i] = x - 1
-        for y, j in first.items():
-            if y != x - 1 and i != j:
+        moved[starts[k + 1] - 1] = x - 1
+        for y, j in zip(values[k + 1:], starts[k + 1:]):
+            if y < x - 1:
                 moved[j] = y + 1
                 out.append(bytes(moved))
                 moved[j] = y
@@ -388,24 +388,25 @@ def build_split_merge(total: int, slots: int) -> OrbitLattice:
     """Same nodes as unit-exchange; an edge joins two nonzero parts into one
     (equivalently splits one part into two).  Every edge changes the number
     of nonzero parts by exactly one."""
-    return _collect("split-merge", _partition_nodes(total, slots), _merges, one_way=True)
+    return _collect("split-merge", _partition_nodes(total, slots), _merges)
 
 
 def _bit_lattice(variant: str, bits: int, masks, swaps: int) -> OrbitLattice:
     """Graph on ``bits``-bit masks whose edges swap ``swaps`` ones with as
-    many zeros, or flip a single bit when ``swaps`` is 0."""
+    many zeros, or flip a single bit when ``swaps`` is 0: each edge from its
+    smaller mask, whose label sorts first."""
     flips = [1 << i for i in range(bits)]
 
     def moves(mask: int):
         if not swaps:
-            return (mask ^ f for f in flips)
+            return (mask | f for f in flips if not mask & f)
         set_bits = [f for f in flips if mask & f]
         clear_bits = [f for f in flips if not mask & f]
         if min(len(set_bits), len(clear_bits)) < swaps:
             return ()
         ones = [sum(c) for c in combinations(set_bits, swaps)]
         zeros = [sum(c) for c in combinations(clear_bits, swaps)]
-        return (mask ^ a ^ b for a in ones for b in zeros)
+        return (mask ^ a ^ b for a in ones for b in zeros if b > a)
 
     return _collect(variant, {m: format(m, f"0{bits}b") for m in masks}, moves)
 
@@ -527,8 +528,7 @@ def column_edge_counts(total: int) -> tuple[int, ...]:
         raise ValueError("total must be >= 2")
     counts = [0] * (total - 1)
     for parts in _partition_nodes(total, total):
-        # A move changes the nonzero count by at most one, and each edge
-        # is met once from its side with fewer nonzero parts.
+        # Each such edge is one levelling move into a zero slot.
         zeros = parts.count(0)
         if zeros:
             counts[total - zeros - 1] += sum(1 for q in _unit_moves(parts) if q.count(0) < zeros)

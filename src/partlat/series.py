@@ -193,19 +193,24 @@ def box_caps(max_part: int, max_parts: int) -> list[tuple[int, int]] | None:
     3:1) but some do not: the 4 x 3 polynomial has value 35 = 5 * 7 at t=1
     and degree 12, which no product of geometric blocks achieves.
     """
-    numerators = list(range(max_part + 1, max_part + max_parts + 1))
-
-    def match(k: int, free: list[int]) -> list[tuple[int, int]] | None:
-        if k == 0:
-            return []
-        for i, value in enumerate(free):
-            if value % k == 0:
-                rest = match(k - 1, free[:i] + free[i + 1:])
-                if rest is not None:
-                    return rest + [(k, value // k - 1)]
-        return None
-
-    return match(max_parts, numerators)
+    # Depth first without recursion: k runs down from max_parts, each k
+    # taking the first free numerator it divides, and the next one once the
+    # smaller k fail with it.  chosen[d] is (position in free, numerator)
+    # for k = max_parts - d; a backtrack puts the numerator back in place.
+    free = list(range(max_part + 1, max_part + max_parts + 1))
+    chosen, start = [], 0
+    while (k := max_parts - len(chosen)) != 0:
+        i = next((i for i in range(start, len(free)) if free[i] % k == 0), None)
+        if i is not None:
+            chosen.append((i, free.pop(i)))
+            start = 0
+        elif chosen:
+            i, value = chosen.pop()
+            free.insert(i, value)
+            start = i + 1
+        else:
+            return None
+    return [(k, value // k - 1) for k, (_, value) in zip(range(1, max_parts + 1), reversed(chosen))]
 
 
 def capped_product(caps: Sequence[tuple[int, int | None]], order: int) -> TruncatedSeries:

@@ -122,7 +122,7 @@ class CountTable:
         row_label, col_label = head[0].split("\\", 1)
         cols = [_key(c) for c in (head[1:-1] if has_sums else head[1:])]
         if has_sums:
-            body = body[:-1]
+            body, sum_row = body[:-1], body[-1]
         rows = [_key(line[0]) for line in body]
         cells = tuple(
             tuple(int(v) for v in (line[1:-1] if has_sums else line[1:])) for line in body
@@ -133,6 +133,8 @@ class CountTable:
             claimed = [int(line[-1]) for line in body]
             if claimed != list(table.row_sums):
                 raise ValueError("sum column disagrees with cells")
+            if sum_row != ["sum", *map(str, table.col_sums), str(table.total)]:
+                raise ValueError("sum row disagrees with cells")
         return table
 
 
@@ -143,16 +145,14 @@ def _key(text: str) -> Key:
         return text
 
 
+# Table format -> the CountTable method that renders it.
+FORMATS = {"tsv": "to_tsv", "csv": "to_csv", "json": "to_json", "md": "to_markdown"}
+
+
 def render(table: CountTable, fmt: str) -> str:
-    if fmt == "tsv":
-        return table.to_tsv()
-    if fmt == "csv":
-        return table.to_csv()
-    if fmt == "json":
-        return table.to_json()
-    if fmt == "md":
-        return table.to_markdown()
-    raise ValueError(f"unknown table format {fmt!r}")
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown table format {fmt!r}")
+    return getattr(table, FORMATS[fmt])()
 
 
 def grid_table(name: str, row_label: str, col_label: str,

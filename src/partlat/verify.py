@@ -118,20 +118,25 @@ def _multiplicity_round_trip(top):
 def _shift_invariance(top):
     # Shifting the n parts of a partition of m - n(r-1) by r - 1 lands on
     # total m; shifting again by s must agree with one shift by r + s - 1,
-    # scale base included, and move the total by n * s.
+    # scale base included, and move the total by n * s.  Each (base total,
+    # n) is enumerated once; its unshifted vectors are kept.
+    unshifted = {}
     for m in range(1, top + 1):
         for n in range(1, 5):
             for r in range(-3, 4):
                 base_total = m - n * (r - 1)
                 if base_total < n or base_total > 25:
                     continue
-                qs = enumerate_partitions(ConstraintRecord(total=base_total, exact_parts=n))
-                at_r = [q.to_multiplicity(1).shift(r - 1) for q in qs]
-                if len({v.counts for v in at_r}) != len(qs):
+                if (base_total, n) not in unshifted:
+                    unshifted[base_total, n] = [q.to_multiplicity(1) for q in enumerate_partitions(
+                        ConstraintRecord(total=base_total, exact_parts=n))]
+                vs = unshifted[base_total, n]
+                at_r = [v.shift(r - 1) for v in vs]
+                if len({v.counts for v in at_r}) != len(vs):
                     return f"m={m} n={n} r={r}"
                 for s in range(-3, 4):
                     shifted = {(v.base, v.counts) for v in (w.shift(s) for w in at_r)}
-                    direct = [q.to_multiplicity(1).shift(r + s - 1) for q in qs]
+                    direct = [v.shift(r + s - 1) for v in vs]
                     if (shifted != {(v.base, v.counts) for v in direct}
                             or any(v.weighted_sum != m + n * s for v in direct)):
                         return f"m={m} n={n} r={r} s={s}"

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from partlat import cli
+from partlat import cli, tables
 from partlat.counting import exact_table, p, p_box
 from partlat.schemes import build_scheme
 from partlat.tables import CountTable
@@ -42,6 +42,27 @@ class TestTableCommand:
         parsed = CountTable.parse_delimited(text, "\t", name="exact")
         assert parsed.cells == exact_table(5).cells
         assert parsed.rows == exact_table(5).rows
+
+    @pytest.mark.parametrize("line,message", (
+        (-1, "sum row disagrees with cells"),
+        (3, "sum column disagrees with cells"),
+    ))
+    def test_parse_checks_the_sums(self, line, message):
+        _, text = run_cli("table", "exact", "--max", "4")
+        assert CountTable.parse_delimited(text, "\t").total == 12
+        lines = text.splitlines()
+        lines[line] = "\t".join(lines[line].split("\t")[:1] + ["9"] * 5 + ["999"])
+        with pytest.raises(ValueError, match=message):
+            CountTable.parse_delimited("\n".join(lines) + "\n", "\t")
+
+    @pytest.mark.parametrize("fmt,method", tables.FORMATS.items())
+    def test_render_dispatches_by_format(self, fmt, method):
+        table = exact_table(4)
+        assert tables.render(table, fmt) == getattr(table, method)()
+
+    def test_render_refuses_an_unknown_format(self):
+        with pytest.raises(ValueError, match="unknown table format 'xml'"):
+            tables.render(exact_table(4), "xml")
 
     def test_csv_and_markdown(self):
         status, text = run_cli("table", "atmost", "--max", "4", "--format", "csv")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from array import array
+from collections import Counter
 from collections.abc import Sequence
 
 import pytest
@@ -373,6 +374,44 @@ def test_adjacency_and_queries_match_the_edges(build):
         assert lat.degree(n) == len(adjacency[n])
     with pytest.raises(KeyError):
         lat.neighbors("nope")
+
+
+class TestEdgeContract:
+    """A move function yields each edge from exactly one of its ends."""
+
+    @staticmethod
+    def collect(moves):
+        return lattices._collect("g", {n: n for n in "abcd"}, lambda n: moves.get(n, ()))
+
+    @pytest.mark.parametrize("moves", (
+        {"a": ["b"], "b": ["a"]},
+        {"b": ["c"], "d": ["c"], "c": ["d"]},
+        {"b": ["b"]},
+        {"c": ["a"], "a": ["c"]},
+        {"d": ["a", "a"]},
+    ), ids=("both-ends", "both-ends-higher-first", "self-move", "lower-and-higher", "twice"))
+    def test_repeated_pair_refused(self, moves):
+        with pytest.raises(ValueError, match="not increasing pairs"):
+            self.collect(moves)
+
+    def test_edges_kept_from_either_end(self):
+        lat = self.collect({"d": ["b", "a"], "c": ["a"], "a": ["b"]})
+        assert lat.edges == (("a", "b"), ("a", "c"), ("a", "d"), ("b", "d"))
+        assert self.collect({"b": ["a"]}).edges == (("a", "b"),)
+
+    @pytest.mark.parametrize("total", range(13))
+    def test_unit_moves_level_two_parts(self, total):
+        """Each move takes a unit from a part x to a part y < x - 1."""
+        for slots in sorted({1, 2, 3, total, total + 3} - {0}):
+            nodes = lattices._partition_nodes(total, slots)
+            for parts in nodes:
+                for moved in lattices._unit_moves(parts):
+                    assert moved in nodes
+                    removed = sorted((Counter(parts) - Counter(moved)).elements())
+                    added = sorted((Counter(moved) - Counter(parts)).elements())
+                    assert len(removed) == 2
+                    y, x = removed
+                    assert y < x - 1 and added == sorted((y + 1, x - 1))
 
 
 class TestStreamedExport:

@@ -201,6 +201,12 @@ class TestCappedProduct:
                    if series.box_caps(a, b) is None}
         assert missing == {(3, 4), (4, 3), (4, 4)}
 
+    def test_box_caps_past_the_recursion_limit(self):
+        """Each k = 1..2000 gets a numerator 2..2001 it divides, each once."""
+        caps = series.box_caps(1, 2000)
+        assert caps is not None and [k for k, _ in caps] == list(range(1, 2001))
+        assert sorted(k * (c + 1) for k, c in caps) == list(range(2, 2002))
+
     def test_realizable_boxes_match_counts(self):
         for a in range(1, 6):
             for b in range(1, 6):
