@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Callable, NamedTuple
 
 from . import counting, errata, intmatrix, lattices, oracle, schemes, series, verify
@@ -55,24 +56,26 @@ def _check_ranges(args: argparse.Namespace, ranges: tuple[Range, ...]) -> None:
             raise ValueError(f"{r.flag} must be in {r.low}..{r.cap}")
 
 
+def _record(args: argparse.Namespace) -> oracle.ConstraintRecord:
+    """The record `count` reads: one flag per field."""
+    return oracle.ConstraintRecord(**{f.name: getattr(args, f.name)
+                                      for f in fields(oracle.ConstraintRecord)})
+
+
 def _list_bound(args: argparse.Namespace) -> int:
     """An upper bound on the partitions `count --list` prints: the box count
-    p_box over the part-size and part-count bounds, the total where one is
-    unset.  Zero without --list, and past the oracle's cap, which refuses
-    that total itself."""
+    p_box over the record's part-size and part-count bounds.  Zero without
+    --list, and past the oracle's cap, which refuses that total itself."""
     if not args.list or args.total > oracle.TOTAL_CAP:
         return 0
-    size = min(b for b in (args.max_part, args.exact_max_part, args.total) if b is not None)
-    parts = min(b for b in (args.max_parts, args.exact_parts, args.total) if b is not None)
-    return counting.p_box(size, parts, args.total)
+    c = _record(args)
+    return counting.p_box(c.largest_bound, c.slot_bound, c.total)
 
 
 def _list_width(args: argparse.Namespace) -> int:
-    """The width `count --list` pads each line to: the part-count bound
-    (--exact-parts or --max-parts).  Zero without --list or a bound."""
-    if not args.list:
-        return 0
-    return next((b for b in (args.exact_parts, args.max_parts) if b is not None), 0)
+    """The width `count --list` pads each line to: the record's part-count
+    bound.  Zero without --list or a bound."""
+    return _record(args).padded_length if args.list else 0
 
 
 # At each cap the slowest table, series kind or command that reads it takes
@@ -148,18 +151,7 @@ def _cmd_table(args, out) -> int:
 
 
 def _cmd_count(args, out) -> int:
-    record = oracle.ConstraintRecord(
-        total=args.total,
-        max_part=args.max_part,
-        max_parts=args.max_parts,
-        exact_parts=args.exact_parts,
-        exact_max_part=args.exact_max_part,
-        min_part=args.min_part,
-        parity=args.parity,
-        unit_count=args.unit_count,
-        layer=args.layer,
-        hook_frame=args.hook_frame,
-    )
+    record = _record(args)
     _check_ranges(args, COMMAND_RANGES["count"])
     if not args.list:
         out.write(f"{oracle.count(record)}\n")
@@ -267,17 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=_cmd_table)
 
     c = sub.add_parser("count", help="count (or list) partitions under constraints")
-    c.add_argument("--total", type=int, required=True,
-                   help=f"the partitioned total (0..{oracle.TOTAL_CAP})")
-    c.add_argument("--max-part", type=int)
-    c.add_argument("--max-parts", type=int)
-    c.add_argument("--exact-parts", type=int)
-    c.add_argument("--exact-max-part", type=int)
-    c.add_argument("--min-part", type=int)
-    c.add_argument("--parity", choices=oracle.PARITY_CHOICES, default="none")
-    c.add_argument("--unit-count", type=int)
-    c.add_argument("--layer", type=int)
-    c.add_argument("--hook-frame", type=int)
+    # One flag per record field, in field order; the rest are optional ints.
+    flag_options = {
+        "total": {"type": int, "required": True,
+                  "help": f"the partitioned total (0..{oracle.TOTAL_CAP})"},
+        "parity": {"choices": oracle.PARITY_CHOICES, "default": "none"},
+    }
+    for f in fields(oracle.ConstraintRecord):
+        c.add_argument("--" + f.name.replace("_", "-"), **flag_options.get(f.name, {"type": int}))
     c.add_argument("--list", action="store_true",
                    help="print the partitions too, zero-padded to the part-count bound "
                    f"(refused when a box bound on the matches passes {LIST_MATCHES.cap}, "

@@ -35,13 +35,13 @@ class IntMatrix:
         if self.shape_tag in (LOWER, UPPER):
             if not self.entries or len(self.entries[0]) != n:
                 raise ValueError("unitriangular matrices must be square")
-            for i in range(n):
-                if self.entries[i][i] != 1:
+            lower = self.shape_tag == LOWER
+            for i, row in enumerate(self.entries):
+                if row[i] != 1:
                     raise ValueError(f"diagonal entry at {i} is not 1")
-                for j in range(n):
-                    off = j > i if self.shape_tag == LOWER else j < i
-                    if off and self.entries[i][j] != 0:
-                        raise ValueError(f"entry ({i},{j}) breaks {self.shape_tag}")
+                if any(row[i + 1:] if lower else row[:i]):
+                    j = next(j for j in (range(i + 1, n) if lower else range(i)) if row[j])
+                    raise ValueError(f"entry ({i},{j}) breaks {self.shape_tag}")
 
     @property
     def rows(self) -> int:

@@ -19,7 +19,7 @@ pruning can only skip tuples a filter would reject.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 from .partitions import Partition
@@ -30,16 +30,6 @@ PARITY_CHOICES = ("none", "all-odd", "all-even", "mixed", "distinct")
 # partitions (a streamed count takes about 13 s), and a typo should not
 # take down CI.
 TOTAL_CAP = 80
-
-CLASSIFIERS = (
-    "exact_parts",
-    "largest_part",
-    "unit_count",
-    "layer",
-    "hook_frame",
-    "parity_class",
-)
-
 
 @dataclass(frozen=True)
 class ConstraintRecord:
@@ -70,11 +60,10 @@ class ConstraintRecord:
             raise ValueError("max_parts and exact_parts are mutually exclusive")
         if self.max_part is not None and self.exact_max_part is not None:
             raise ValueError("max_part and exact_max_part are mutually exclusive")
-        for name in ("max_part", "max_parts", "exact_parts", "exact_max_part",
-                     "min_part", "unit_count", "layer", "hook_frame"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, int) and v < 0:
+                raise ValueError(f"{f.name} must be >= 0")
         if self.parity not in PARITY_CHOICES:
             raise ValueError(f"unknown parity filter {self.parity!r}")
 
@@ -82,11 +71,19 @@ class ConstraintRecord:
     def padded_length(self) -> int:
         """Length the matches are zero-padded to: the part-count bound when
         the record sets one, else 0 (no padding)."""
-        if self.exact_parts is not None:
-            return self.exact_parts
-        if self.max_parts is not None:
-            return self.max_parts
-        return 0
+        return next((b for b in (self.exact_parts, self.max_parts) if b is not None), 0)
+
+    @property
+    def largest_bound(self) -> int:
+        """No match has a part above this: the least of the total and the
+        part-size bounds the record sets."""
+        return min(b for b in (self.total, self.max_part, self.exact_max_part) if b is not None)
+
+    @property
+    def slot_bound(self) -> int:
+        """No match has more parts than this: the part-count bound when the
+        record sets one, else the total."""
+        return next((b for b in (self.exact_parts, self.max_parts) if b is not None), self.total)
 
 
 def _residues(parts: tuple[int, ...]) -> set[int]:
@@ -133,6 +130,12 @@ _KEYS = {
     "parity_class": parity_class,
 }
 
+CLASSIFIERS = tuple(_KEYS)
+
+# Each field a filter enforces -> the classifier whose key it fixes.
+_FILTERED = {"exact_max_part": "largest_part", "unit_count": "unit_count", "layer": "layer",
+             "hook_frame": "hook_frame"}
+
 _PARITY_FILTERS = {
     "all-odd": lambda parts: 0 not in _residues(parts),
     "all-even": lambda parts: 1 not in _residues(parts),
@@ -145,11 +148,10 @@ def _filters(c: ConstraintRecord) -> list:
     """One predicate per constraint the search does not enforce, for the
     fields ``c`` sets only."""
     keep = []
-    for name, key in (("exact_max_part", _largest), ("unit_count", _units),
-                      ("layer", _layer), ("hook_frame", _hook_frame)):
+    for name, key in _FILTERED.items():
         want = getattr(c, name)
         if want is not None:
-            keep.append(lambda parts, key=key, want=want: key(parts) == want)
+            keep.append(lambda parts, key=_KEYS[key], want=want: key(parts) == want)
     if c.parity != "none":
         keep.append(_PARITY_FILTERS[c.parity])
     return keep
@@ -219,21 +221,13 @@ def iter_parts(c: ConstraintRecord) -> Iterator[tuple[int, ...]]:
     decreasing lexicographic order, generated lazily."""
     if c.total > TOTAL_CAP:
         raise ValueError(f"total {c.total} exceeds the enumeration cap {TOTAL_CAP}")
-    if c.exact_parts is not None:
-        slots, exact = c.exact_parts, True
-    else:
-        slots = c.total if c.max_parts is None else c.max_parts
-        exact = False
-    hi = c.total
-    for bound in (c.max_part, c.exact_max_part):
-        if bound is not None:
-            hi = min(hi, bound)
     lo, step = max(c.min_part or 1, 1), 1
     if c.parity in ("all-odd", "all-even"):
         # Every other value, from ``lo`` rounded up to the parity.
         lo += (lo + (c.parity == "all-odd")) % 2
         step = 2
-    stream = _walk(c.total, hi, lo, slots, exact, step, int(c.parity == "distinct"))
+    stream = _walk(c.total, c.largest_bound, lo, c.slot_bound, c.exact_parts is not None, step,
+                   int(c.parity == "distinct"))
     for keep in _filters(c):
         stream = filter(keep, stream)
     return stream

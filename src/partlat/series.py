@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
 from operator import add, sub
 from typing import Iterable, Sequence
@@ -139,7 +138,6 @@ def _alternating_product(order: int, sign: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(c))
 
 
-@cache
 def euler_product(order: int) -> TruncatedSeries:
     """(1 - t)(1 - t^2)...(1 - t^order), truncated.
 
@@ -154,9 +152,7 @@ def euler_coefficient(n: int) -> int:
     """Coefficient of t^n in the Euler product (values in {-1, 0, 1})."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    # Expand in blocks so nearby coefficients come from one cached product.
-    order = max(32, -(-(n + 1) // 32) * 32)
-    return euler_product(order)[n]
+    return euler_product(n)[n]
 
 
 def pentagonal_pairs(count: int) -> list[tuple[int, int]]:
@@ -193,24 +189,36 @@ def box_caps(max_part: int, max_parts: int) -> list[tuple[int, int]] | None:
     3:1) but some do not: the 4 x 3 polynomial has value 35 = 5 * 7 at t=1
     and degree 12, which no product of geometric blocks achieves.
     """
-    # Depth first without recursion: k runs down from max_parts, each k
-    # taking the first free numerator it divides, and the next one once the
-    # smaller k fail with it.  chosen[d] is (position in free, numerator)
-    # for k = max_parts - d; a backtrack puts the numerator back in place.
-    free = list(range(max_part + 1, max_part + max_parts + 1))
-    chosen, start = [], 0
-    while (k := max_parts - len(chosen)) != 0:
-        i = next((i for i in range(start, len(free)) if free[i] % k == 0), None)
-        if i is not None:
-            chosen.append((i, free.pop(i)))
-            start = 0
-        elif chosen:
-            i, value = chosen.pop()
-            free.insert(i, value)
-            start = i + 1
+    if max_parts < 0:
+        return None
+    # Bipartite matching by shortest augmenting paths, without recursion:
+    # k runs down from max_parts.  Each k searches breadth first, every k it
+    # reaches scanning the numerators it divides in increasing order, until
+    # one is free; then each k along the path takes over the numerator that
+    # reached it.  One search reaches each numerator once, so the cost is
+    # polynomial in max_parts.
+    top = max_part + max_parts
+    owner: dict[int, int] = {}  # numerator -> the k it is matched to
+    numerator: dict[int, int] = {}  # the inverse
+    for k in range(max_parts, 0, -1):
+        came: dict[int, int] = {}  # numerator -> the k whose scan reached it
+        queue = [k]
+        for j in queue:
+            reached = [v for v in range((max_part + j) // j * j, top + 1, j) if v not in came]
+            came.update((v, j) for v in reached)
+            free = next((v for v in reached if v not in owner), None)
+            if free is not None:
+                break
+            queue.extend(owner[v] for v in reached)
         else:
             return None
-    return [(k, value // k - 1) for k, (_, value) in zip(range(1, max_parts + 1), reversed(chosen))]
+        v = free
+        while v is not None:
+            j = came[v]
+            held = numerator.get(j)
+            owner[v], numerator[j] = j, v
+            v = held
+    return [(k, numerator[k] // k - 1) for k in range(1, max_parts + 1)]
 
 
 def capped_product(caps: Sequence[tuple[int, int | None]], order: int) -> TruncatedSeries:

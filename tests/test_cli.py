@@ -1,12 +1,15 @@
+import argparse
+import hashlib
 import io
 import json
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import pytest
 
-from partlat import cli, tables
+from partlat import cli, oracle, tables
 from partlat.counting import exact_table, p, p_box
 from partlat.schemes import build_scheme
 from partlat.tables import CountTable
@@ -116,6 +119,50 @@ class TestCountCommand:
         status, text = run_cli("count", "--total", "11", "--max-parts", "3",
                                "--min-part", "4", "--list")
         assert status == 0 and text.splitlines() == ["11,0,0", "740", "650", "3"]
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(oracle.ConstraintRecord)
+                                       if f.name != "total"])
+    def test_every_record_field_is_a_flag(self, field):
+        values = oracle.PARITY_CHOICES if field == "parity" else range(14)
+        flag = "--" + field.replace("_", "-")
+        for v in values:
+            want = oracle.count(oracle.ConstraintRecord(total=12, **{field: v}))
+            assert run_cli("count", "--total", "12", flag, str(v)) == (0, f"{want}\n"), v
+
+    def test_help_is_pinned(self, monkeypatch, capsys):
+        # sha256 of `count --help` as argparse lays it out at 80 columns.
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli("count", "--help") == (0, "")
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "53d6cce31fdec03d07d04cbc22e427a1526e79563f596263a0ffb7f570183990"
+
+
+def flag_list_bound(a):
+    """The --list matches bound written out from the flags."""
+    size = min(b for b in (a.max_part, a.exact_max_part, a.total) if b is not None)
+    parts = min(b for b in (a.max_parts, a.exact_parts, a.total) if b is not None)
+    return p_box(size, parts, a.total)
+
+
+def flag_list_width(a):
+    """The --list width written out from the flags."""
+    return next((b for b in (a.exact_parts, a.max_parts) if b is not None), 0)
+
+
+def test_list_bound_and_width_restate_the_flags():
+    parser = cli.build_parser()
+    for total in range(21):
+        base = vars(parser.parse_args(["count", "--total", str(total)]))
+        values = sorted({v for v in (0, 1, 2, total // 2, total - 1, total, total + 1, total + 3)
+                         if v >= 0})
+        sizes = [{}] + [{name: v} for name in ("max_part", "exact_max_part") for v in values]
+        counts = [{}] + [{name: v} for name in ("max_parts", "exact_parts") for v in values]
+        for size in sizes:
+            for slots in counts:
+                for listing in (False, True):
+                    a = argparse.Namespace(**{**base, **size, **slots, "list": listing})
+                    assert cli._list_bound(a) == (flag_list_bound(a) if listing else 0), a
+                    assert cli._list_width(a) == (flag_list_width(a) if listing else 0), a
 
 
 class TestSchemeCommand:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -50,12 +51,39 @@ INVERSE_UNIT_DIFF_6 = (
 )
 
 
+def first_shape_fault(rows, tag):
+    """The message for the first entry, row by row and the diagonal first
+    in each, that keeps ``rows`` from being ``tag`` unitriangular."""
+    for i, row in enumerate(rows):
+        if row[i] != 1:
+            return f"diagonal entry at {i} is not 1"
+        for j, x in enumerate(row):
+            if x and (j > i if tag == LOWER else j < i):
+                return f"entry ({i},{j}) breaks {tag}"
+    return None
+
+
 class TestShapeValidation:
     def test_tag_checked(self):
         with pytest.raises(ValueError):
             IntMatrix(((1, 5), (0, 1)), LOWER)
         with pytest.raises(ValueError):
             IntMatrix(((2, 0), (0, 1)), UPPER)
+
+    @pytest.mark.parametrize("tag", (LOWER, UPPER))
+    def test_first_fault_named(self, tag):
+        rng = random.Random(7)
+        for _ in range(500):
+            n = rng.randint(1, 6)
+            rows = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(rng.randint(0, 3)):
+                rows[rng.randrange(n)][rng.randrange(n)] = rng.choice((-1, 0, 1, 2))
+            fault = first_shape_fault(rows, tag)
+            if fault is None:
+                assert from_rows(rows, tag).shape_tag == tag
+            else:
+                with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+                    from_rows(rows, tag)
 
     def test_dimension_mismatch(self):
         a = from_rows([[1, 2]])

@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from dataclasses import fields
 from itertools import islice
 
 import pytest
@@ -22,6 +23,22 @@ class TestRecordValidation:
     def test_negative_bound(self):
         with pytest.raises(ValueError):
             ConstraintRecord(total=5, max_part=-1)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ConstraintRecord)
+                                      if f.name != "parity"])
+    def test_each_negative_field_named(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            ConstraintRecord(**{"total": 5, name: -1})
+
+    def test_checks_run_total_first_then_pairs_then_bounds(self):
+        with pytest.raises(ValueError, match="^total must be >= 0$"):
+            ConstraintRecord(total=-1, max_parts=1, exact_parts=1)
+        with pytest.raises(ValueError, match="^max_parts and exact_parts are mutually exclusive$"):
+            ConstraintRecord(total=5, max_part=-1, max_parts=1, exact_parts=1)
+        with pytest.raises(ValueError, match="^max_part and exact_max_part are mutually exclusive$"):
+            ConstraintRecord(total=5, min_part=-1, max_part=1, exact_max_part=1, parity="weird")
+        with pytest.raises(ValueError, match="^layer must be >= 0$"):
+            ConstraintRecord(total=5, layer=-1, parity="weird")
 
     def test_unknown_parity(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -178,6 +179,39 @@ class TestDistinctSeries:
         assert u[m] == count(ConstraintRecord(total=m, parity="distinct"))
 
 
+def backtracking_box_caps(a, b):
+    """The exhaustive search box_caps once ran: k from b down takes the
+    first free numerator it divides, and a k that finds none moves the k
+    before it on to its next numerator."""
+    free = list(range(a + 1, a + b + 1))
+    chosen, start = [], 0
+    while (k := b - len(chosen)) != 0:
+        i = next((i for i in range(start, len(free)) if free[i] % k == 0), None)
+        if i is not None:
+            chosen.append((i, free.pop(i)))
+            start = 0
+        elif chosen:
+            i, value = chosen.pop()
+            free.insert(i, value)
+            start = i + 1
+        else:
+            return None
+    return [(k, value // k - 1) for k, (_, value) in zip(range(1, b + 1), reversed(chosen))]
+
+
+def has_perfect_matching(a, b):
+    """Whether every k = 1..b gets its own numerator a + 1..a + b that it
+    divides, by networkx's Hopcroft-Karp matching."""
+    nx = pytest.importorskip("networkx")
+    ks = [("k", k) for k in range(1, b + 1)]
+    g = nx.Graph()
+    g.add_nodes_from(ks)
+    g.add_edges_from((("k", k), ("v", v)) for k in range(1, b + 1)
+                     for v in range(a + 1, a + b + 1) if v % k == 0)
+    matching = nx.bipartite.hopcroft_karp_matching(g, top_nodes=ks)
+    return all(k in matching for k in ks)
+
+
 class TestCappedProduct:
     def test_uncapped_parts_up_to_three(self):
         s = series.capped_product([(1, None), (2, None), (3, None)], 10)
@@ -206,6 +240,34 @@ class TestCappedProduct:
         caps = series.box_caps(1, 2000)
         assert caps is not None and [k for k, _ in caps] == list(range(1, 2001))
         assert sorted(k * (c + 1) for k, c in caps) == list(range(2, 2002))
+
+    def test_box_caps_keep_the_backtracking_choice(self):
+        for a in range(-3, 41):
+            for b in range(-3, 31):
+                assert series.box_caps(a, b) == backtracking_box_caps(a, b), (a, b)
+
+    def test_box_caps_exist_exactly_when_a_perfect_matching_does(self):
+        for a in range(21):
+            for b in range(1, 21):
+                assert (series.box_caps(a, b) is not None) == has_perfect_matching(a, b), (a, b)
+
+    @pytest.mark.parametrize("a,b", [(30, 60), (50, 100), (100, 200)])
+    def test_box_caps_in_polynomial_time(self, a, b):
+        start = time.perf_counter()
+        caps = series.box_caps(a, b)
+        assert time.perf_counter() - start < 1
+        assert (caps is not None) == has_perfect_matching(a, b)
+
+    def test_box_caps_are_factorizations(self):
+        """Cap c on part k is the block (1 - t^(k(c+1))) / (1 - t^k): the
+        parts are 1..b, and the k(c+1) are the numerators a + 1..a + b."""
+        boxes = [(a, b) for a in range(41) for b in range(31)] + [(1, 2000), (2, 300)]
+        for a, b in boxes:
+            caps = series.box_caps(a, b)
+            if caps is not None:
+                assert [k for k, _ in caps] == list(range(1, b + 1))
+                assert min((c for _, c in caps), default=0) >= 0
+                assert sorted(k * (c + 1) for k, c in caps) == list(range(a + 1, a + b + 1))
 
     def test_realizable_boxes_match_counts(self):
         for a in range(1, 6):
