@@ -17,12 +17,13 @@ p_box(m, n-1, M) + p_box(m-1, n, M-n) (are all n slots nonzero?) does not
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
-from operator import add
+from operator import add, sub
 from typing import Iterator
 
 from .partitions import Partition
-from .series import _divide_one_minus, _times_binomial
+from .series import _divide_one_minus, _times_binomial, pentagonal_pairs
 from .tables import CountTable, grid_table
 
 
@@ -42,8 +43,9 @@ def _box_columns(a: int, b: int, order: int) -> Iterator[tuple[int, ...]]:
 def _partition_numbers(order: int) -> list[int]:
     """p(0), ..., p(order) by the pentagonal-number recurrence, filled
     bottom-up (empty for a negative order)."""
-    pentagonal = [(g, 1 if k % 2 == 1 else -1) for k in range(1, order + 1)
-                  for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g <= order]
+    pentagonal = [(g, 1 if k % 2 == 1 else -1)
+                  for k, pair in enumerate(pentagonal_pairs(order), start=1)
+                  for g in pair if g <= order]
     numbers = [1] if order >= 0 else []
     for n in range(1, order + 1):
         numbers.append(sum(sign * numbers[n - g] for g, sign in pentagonal if g <= n))
@@ -106,19 +108,16 @@ def exact_frame(largest: int, parts: int, total: int) -> int:
 
 def p_with_largest(largest: int, total: int) -> int:
     """Partitions of ``total`` whose largest part is exactly ``largest``
-    (row sums of the partition scheme), from one sweep over the interior
-    boxes (largest-1) x (n-1) for n = 1, 2, ... parts."""
-    free = total - largest
-    if largest <= 0 or free < 0:
-        return 1 if largest == 0 and total == 0 else 0
-    return sum(column[free - k] for k, column in enumerate(_box_columns(largest - 1, free, free)))
+    (row sums of the partition scheme): conjugation swaps the largest part
+    with the part count, so these are the partitions into exactly
+    ``largest`` parts."""
+    return p_exact(total, largest)
 
 
 def p_with_parts(parts: int, total: int) -> int:
     """Partitions of ``total`` into exactly ``parts`` parts, summed over the
-    largest part (column sums of the partition scheme); by conjugation, the
-    row sum for largest part ``parts``."""
-    return p_with_largest(parts, total)
+    largest part (column sums of the partition scheme)."""
+    return p_exact(total, parts)
 
 
 def p_min_part(total: int, parts: int, min_part: int) -> int:
@@ -176,9 +175,8 @@ def distinct_row(total: int) -> tuple[tuple[int, ...], int]:
 
 
 def distinct_table(max_total: int) -> CountTable:
-    kmax = 0
-    while (kmax + 1) * (kmax + 2) // 2 <= max_total:
-        kmax += 1
+    # k distinct parts need 1 + 2 + ... + k = k(k + 1)/2 units.
+    kmax = (math.isqrt(8 * max(max_total, 0) + 1) - 1) // 2
     columns = list(_box_columns(max_total, kmax, max_total))
     cols: list = list(range(1, kmax + 1)) + ["total", "difference"]
     cells = []
@@ -193,19 +191,23 @@ def distinct_table(max_total: int) -> CountTable:
 
 # -- unit-part differences -------------------------------------------------
 
+def unit_diff_column(order: int) -> tuple[int, ...]:
+    """p(m) - p(m - 1) for m = 0..order: the partitions of m with no part
+    equal to 1 (empty for a negative order)."""
+    numbers = _partition_numbers(order)
+    return tuple(map(sub, numbers, [0] + numbers))
+
+
 def unit_diff_cell(total: int, units: int) -> int:
     """Partitions of ``total`` with exactly ``units`` parts equal to 1:
     remove them and forbid any further 1, p(rest) - p(rest - 1)."""
     if units < 0 or units > total:
         return 0
-    rest = total - units
-    numbers = _partition_numbers(rest)
-    return numbers[rest] - (numbers[rest - 1] if rest else 0)
+    return unit_diff_column(total - units)[-1]
 
 
 def unit_diff_table(max_total: int) -> CountTable:
-    numbers = _partition_numbers(max_total)
-    column = [q - r for q, r in zip(numbers, [0] + numbers)]  # unit_diff_cell(m, 0)
+    column = unit_diff_column(max_total)
     return grid_table("unit-diff", "m", "n",
                       range(max_total + 1), range(max_total + 1),
                       lambda m, n: column[m - n] if n <= m else 0)
@@ -297,12 +299,18 @@ def layer_table(max_total: int) -> CountTable:
     for a, b, column in _frame_interiors(max_total):
         hooks[a + b + 1] = list(map(add, hooks[a + b + 1], column))
 
-    def cell(n: int, k: int) -> int:
-        return hooks[n - k + 1][k - 1] if k <= n else 0
-
-    kmax = max(k for n in range(1, max_total + 1) for k in range(1, n + 1) if cell(n, k))
     return grid_table("layers", "n", "k",
-                      range(1, max_total + 1), range(1, kmax + 1), cell)
+                      range(1, max_total + 1), range(1, _layer_width(max_total) + 1),
+                      lambda n, k: hooks[n - k + 1][k - 1] if k <= n else 0)
+
+
+def _layer_width(max_total: int) -> int:
+    """The last nonzero column of the layer table up to ``max_total`` >= 1.
+    Layer k of n needs an interior of k - 1 units inside an a x (n - k - a)
+    box, which holds at most (n - k)^2 / 4 units, and n = max_total admits
+    the most: the largest k with 4(k - 1) <= (max_total - k)^2, that is
+    k <= max_total + 2 - 2 sqrt(max_total)."""
+    return max_total + 1 - math.isqrt(4 * max_total - 1)
 
 
 def diagonal_sum(frame: int) -> int:

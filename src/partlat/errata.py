@@ -219,32 +219,18 @@ def by_ident(ident: str) -> Erratum:
     raise KeyError(ident)
 
 
+# The ledger fields each renderer prints after the ident, in order.
+_FIELDS = ("where", "printed", "witness", "corrected")
+
+
 def render_text() -> str:
-    blocks = []
-    for e in ERRATA:
-        blocks.append(
-            f"{e.ident}\n"
-            f"  where:     {e.where}\n"
-            f"  printed:   {e.printed}\n"
-            f"  witness:   {e.witness}\n"
-            f"  corrected: {e.corrected}\n"
-        )
-    return "\n".join(blocks)
+    return "\n".join(
+        f"{e.ident}\n" + "".join(f"  {name + ':':<11}{getattr(e, name)}\n" for name in _FIELDS)
+        for e in ERRATA)
 
 
 def render_json() -> str:
     import json
 
-    return json.dumps(
-        [
-            {
-                "ident": e.ident,
-                "where": e.where,
-                "printed": e.printed,
-                "witness": e.witness,
-                "corrected": e.corrected,
-            }
-            for e in ERRATA
-        ],
-        indent=2,
-    ) + "\n"
+    return json.dumps([{"ident": e.ident, **{name: getattr(e, name) for name in _FIELDS}}
+                       for e in ERRATA], indent=2) + "\n"

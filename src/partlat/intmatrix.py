@@ -1,8 +1,8 @@
 """Exact integer matrix algebra for the table identities.
 
-Only what the tables need: multiplication, triangular summation operators,
-lower Toeplitz matrices built from (and inverted as) power series, and
-exact inversion of the other unitriangular matrices by forward
+Only what the tables need: multiplication, lower Toeplitz matrices built
+from (and inverted as) power series, the summation operators among them,
+and exact inversion of the other unitriangular matrices by forward
 substitution, one slice dot product per entry.  No rationals, no floating
 point, no general elimination.
 """
@@ -59,9 +59,7 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         tag = {LOWER: UPPER, UPPER: LOWER}.get(self.shape_tag, GENERAL)
-        grid = tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                     for j in range(self.cols))
-        return IntMatrix(grid, tag)
+        return IntMatrix(tuple(zip(*self.entries)), tag)
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
@@ -93,11 +91,9 @@ def invert_unitriangular(a: IntMatrix) -> IntMatrix:
     the slice A[i][j:i] against column j of X from row j down, one C-level
     dot product.  The columns of X are kept as lists that grow by one entry
     per row, so each dot product reads one contiguous list."""
-    if a.shape_tag == LOWER:
-        pass
-    elif a.shape_tag == UPPER:
+    if a.shape_tag == UPPER:
         return invert_unitriangular(a.transpose()).transpose()
-    else:
+    if a.shape_tag != LOWER:
         raise ValueError("only unitriangular matrices are invertible here")
     n = a.rows
     columns: list[list[int]] = []  # column j of X, rows j..i-1
@@ -115,25 +111,7 @@ def from_cell(n: int, cell: Callable[[int, int], int], shape_tag: str = GENERAL)
     return IntMatrix(tuple(tuple(cell(i, j) for j in range(n)) for i in range(n)), shape_tag)
 
 
-# -- summation operators -------------------------------------------------
-
-def summation_matrix(n: int, upper: bool = False) -> IntMatrix:
-    """All-ones triangular matrix: right-multiplying by the upper variant
-    turns a row into its running sums."""
-    if upper:
-        return from_cell(n, lambda i, j: 1 if j >= i else 0, UPPER)
-    return from_cell(n, lambda i, j: 1 if j <= i else 0, LOWER)
-
-
-def summation_inverse(n: int, upper: bool = False) -> IntMatrix:
-    """Bidiagonal inverse of the summation matrix (1 on the diagonal, -1
-    beside it)."""
-    if upper:
-        return from_cell(n, lambda i, j: 1 if i == j else (-1 if j == i + 1 else 0), UPPER)
-    return from_cell(n, lambda i, j: 1 if i == j else (-1 if j == i - 1 else 0), LOWER)
-
-
-# -- Toeplitz partition matrices ------------------------------------------
+# -- Toeplitz matrices: the summation operators and the partition pair ----
 
 def toeplitz(column: Sequence[int]) -> IntMatrix:
     """Lower Toeplitz matrix with entry column[i - j] on and below the
@@ -143,6 +121,21 @@ def toeplitz(column: Sequence[int]) -> IntMatrix:
     c = tuple(column)
     n = len(c)
     return IntMatrix(tuple(c[i::-1] + (0,) * (n - 1 - i) for i in range(n)), LOWER)
+
+
+def summation_matrix(n: int, upper: bool = False) -> IntMatrix:
+    """All-ones triangular matrix, the Toeplitz matrix of 1/(1 - t):
+    right-multiplying by the upper variant turns a row into its running
+    sums."""
+    lower = toeplitz((1,) * n)
+    return lower.transpose() if upper else lower
+
+
+def summation_inverse(n: int, upper: bool = False) -> IntMatrix:
+    """Bidiagonal inverse of the summation matrix (1 on the diagonal, -1
+    beside it), the Toeplitz matrix of 1 - t."""
+    lower = toeplitz(((1, -1) + (0,) * n)[:n])
+    return lower.transpose() if upper else lower
 
 
 def partition_matrix(n: int) -> IntMatrix:
@@ -181,8 +174,7 @@ def inverse_unit_diff_matrix(n: int) -> IntMatrix:
 
     The table is Toeplitz with column p(m) - p(m - 1), so its inverse is
     the Toeplitz matrix of the inverse series."""
-    numbers = counting._partition_numbers(max(n - 1, 0))
-    column = series.TruncatedSeries(tuple(q - r for q, r in zip(numbers, [0] + numbers)))
+    column = series.TruncatedSeries(counting.unit_diff_column(max(n - 1, 0)))
     return toeplitz(column.invert().coefficients[:n])
 
 

@@ -54,6 +54,10 @@ class ConstraintRecord:
     hook_frame: int | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name != "parity" and type(v) is not int and (v is not None or f.name == "total"):
+                raise ValueError(f"{f.name} must be an integer")
         if self.total < 0:
             raise ValueError("total must be >= 0")
         if self.max_parts is not None and self.exact_parts is not None:

@@ -33,12 +33,8 @@ def canonicalize(values: Iterable[int], padded_length: int | None = None) -> "Pa
     for v in vals:
         if v < 0:
             raise ValueError(f"negative part {v}: use MultiplicityVector for shifted bases")
-    nonzero = tuple(sorted((v for v in vals if v > 0), reverse=True))
-    if padded_length is None:
-        padded_length = len(vals)
-    if padded_length < len(nonzero):
-        raise ValueError(f"padded_length {padded_length} < {len(nonzero)} nonzero parts")
-    return Partition(nonzero, padded_length)
+    nonzero = sorted((v for v in vals if v > 0), reverse=True)
+    return Partition(nonzero, len(vals) if padded_length is None else padded_length)
 
 
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")

@@ -1,6 +1,7 @@
 import math
 import sys
 from functools import cache
+from operator import add
 
 import pytest
 
@@ -309,6 +310,27 @@ class TestLayers:
         assert all(counting.diagonal_power_law(d) for d in range(1, 15))
 
 
+def test_table_widths_match_the_scans():
+    """The layer and distinct tables' last columns, now closed forms, equal
+    the scan for the last nonzero layer cell and the staircase loop."""
+    top = 200
+    # Every layer cell up to top from one hook sweep: cell (n, k) is
+    # hooks[n - k + 1][k - 1].
+    hooks = [[0] * top for _ in range(top + 1)]
+    for a, b, column in counting._frame_interiors(top):
+        hooks[a + b + 1] = list(map(add, hooks[a + b + 1], column))
+    last = 0
+    for n in range(1, top + 1):
+        last = max([last] + [k for k in range(1, n + 1) if hooks[n - k + 1][k - 1]])
+        assert counting._layer_width(n) == last, n
+        kmax = 0
+        while (kmax + 1) * (kmax + 2) // 2 <= n:
+            kmax += 1
+        assert counting.distinct_table(n).cols[:-2] == tuple(range(1, kmax + 1)), n
+    for n in (1, 2, 3, 15, 70, top):
+        assert counting.layer_table(n).cols == tuple(range(1, counting._layer_width(n) + 1))
+
+
 class TestBinomialRows:
     def test_row_five(self):
         assert counting.binomial_row(5) == (1, 4, 6, 4, 1)
@@ -448,6 +470,7 @@ class TestKernelAgainstRecursiveReferences:
         assert counting.exact_table(PAIR_MAX).cells == ref_grid(ref_exact, every)
         assert counting.atmost_table(PAIR_MAX).cells == ref_grid(ref_atmost, every)
         assert counting.unit_diff_table(PAIR_MAX).cells == ref_grid(ref_unit_diff, every)
+        assert counting.unit_diff_column(PAIR_MAX) == tuple(ref_unit_diff(m, 0) for m in every)
         kmax = 15  # 15 distinct parts need 120 units
         distinct = ref_grid(ref_distinct, range(1, kmax + 1))[1:]
         assert [row[:kmax] for row in counting.distinct_table(PAIR_MAX).cells] == list(distinct)
@@ -546,3 +569,10 @@ class TestPastBruteForce:
             want = int(numbers.partition(n))
             assert counting.p_atmost(n, n) == want, n
             assert counting.p_row_sum(n) == want, n
+
+    def test_unit_diff_column_against_rademacher(self):
+        numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+        p = [int(numbers.partition(m)) for m in range(1501)]
+        assert counting.unit_diff_column(1500) == tuple(
+            p[m] - (p[m - 1] if m else 0) for m in range(1501))
+        assert counting.unit_diff_column(-1) == ()

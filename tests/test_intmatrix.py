@@ -202,12 +202,21 @@ class TestToeplitzBuilder:
 
     def test_matches_cell_definitions(self):
         cells = {
-            partition_matrix: lambda i, j: counting.p(i - j) if i >= j else 0,
-            euler_matrix: lambda i, j: series.euler_coefficient(i - j) if i >= j else 0,
+            "partition": (partition_matrix, LOWER,
+                          lambda i, j: counting.p(i - j) if i >= j else 0),
+            "euler": (euler_matrix, LOWER,
+                      lambda i, j: series.euler_coefficient(i - j) if i >= j else 0),
+            "summation": (summation_matrix, LOWER, lambda i, j: 1 if j <= i else 0),
+            "summation-upper": (lambda n: summation_matrix(n, upper=True), UPPER,
+                                lambda i, j: 1 if j >= i else 0),
+            "summation-inverse": (summation_inverse, LOWER,
+                                  lambda i, j: 1 if i == j else (-1 if j == i - 1 else 0)),
+            "summation-inverse-upper": (lambda n: summation_inverse(n, upper=True), UPPER,
+                                        lambda i, j: 1 if i == j else (-1 if j == i + 1 else 0)),
         }
         for n in range(1, 61):
-            for make, cell in cells.items():
-                assert make(n) == intmatrix.from_cell(n, cell, LOWER), (make.__name__, n)
+            for name, (make, tag, cell) in cells.items():
+                assert make(n) == intmatrix.from_cell(n, cell, tag), (name, n)
             assert inverse_unit_diff_matrix(n) == invert_unitriangular(unit_diff_matrix(n)), n
 
 

@@ -30,6 +30,24 @@ class TestRecordValidation:
         with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
             ConstraintRecord(**{"total": 5, name: -1})
 
+    @pytest.mark.parametrize("value", (2.0, True, "2", -1.5), ids=("float", "bool", "str",
+                                                                   "negative-float"))
+    @pytest.mark.parametrize("name", [f.name for f in fields(ConstraintRecord)
+                                      if f.name != "parity"])
+    def test_each_non_int_field_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            ConstraintRecord(**{"total": 5, name: value})
+
+    def test_total_is_required_as_an_integer(self):
+        with pytest.raises(ValueError, match="^total must be an integer$"):
+            ConstraintRecord(total=None)
+
+    def test_type_check_runs_before_the_range_checks(self):
+        with pytest.raises(ValueError, match="^max_part must be an integer$"):
+            ConstraintRecord(total=-1, max_part=2.5, exact_max_part=1)
+        with pytest.raises(ValueError, match="^layer must be an integer$"):
+            ConstraintRecord(total=5, min_part=-1, layer=False, parity="weird")
+
     def test_checks_run_total_first_then_pairs_then_bounds(self):
         with pytest.raises(ValueError, match="^total must be >= 0$"):
             ConstraintRecord(total=-1, max_parts=1, exact_parts=1)
