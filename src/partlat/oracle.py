@@ -2,25 +2,38 @@
 
 This module is the ground truth the recurrence implementations are checked
 against, so it stays independent of every counting formula.  One iterative
-walk, :func:`iter_parts`, generates the part tuples largest-first with an
-explicit stack, pruning on arithmetic bounds (part size, slot count,
-minimum part) and on the set of part values: all-odd and all-even draw
-every other value, and distinct draws each value at most once.  The run of
-smallest allowed parts that ends a partition is emitted in one step instead
-of one node per part.  Every constraint (exact largest part, unit count,
-parity, distinctness, layer, hook frame) is still a filter on the finished
-tuple, built once per record from the fields the record sets, so the
-pruning can only skip tuples a filter would reject.
+walk generates the part tuples largest-first with an explicit stack,
+pruning on arithmetic bounds (part size, slot count, minimum part) and on
+the set of part values: all-odd and all-even draw every other value, and
+distinct draws each value at most once.  The run of smallest allowed parts
+that ends a partition is emitted in one step instead of one node per part.
+
+:func:`iter_parts` also prunes by four fields, each by restating its
+definition:
+
+- exact largest part a: the first part is fixed at a;
+- unit count j: the other parts are at least 2, in the slots the j ones
+  leave, and the ones are appended;
+- hook frame h: a first part a takes exactly h - a + 1 parts;
+- layer k: the hook frame total - k + 1, for total >= 1.
+
+Mixed parity cannot be pruned by value and is only a filter, one C-level
+pass over the parts' residues; at total 0 every field is only a filter.
+Every constraint (exact largest part, unit count, parity, distinctness,
+layer, hook frame) is still a filter on the finished tuple, built once per
+record from the fields the record sets, so the pruning can only skip tuples
+a filter would reject.
 
 ``count`` and ``classify`` consume the stream and build no list and no
-:class:`Partition`; ``enumerate_partitions`` wraps the same stream.
+:class:`Partition`; ``enumerate_partitions`` wraps the same stream and
+builds each :class:`Partition` without re-checking the walk's tuples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .partitions import Partition
 
@@ -90,14 +103,9 @@ class ConstraintRecord:
         return next((b for b in (self.exact_parts, self.max_parts) if b is not None), self.total)
 
 
-def _residues(parts: tuple[int, ...]) -> set[int]:
-    """The residues mod 2 that occur among the parts."""
-    return {v % 2 for v in parts}
-
-
 def parity_class(parts: tuple[int, ...]) -> str:
     """'odd', 'even' or 'mixed'; the empty partition counts as 'even'."""
-    residues = _residues(parts)
+    residues = {v % 2 for v in parts}
     if len(residues) == 2:
         return "mixed"
     return "odd" if residues == {1} else "even"
@@ -140,10 +148,21 @@ CLASSIFIERS = tuple(_KEYS)
 _FILTERED = {"exact_max_part": "largest_part", "unit_count": "unit_count", "layer": "layer",
              "hook_frame": "hook_frame"}
 
+# Each byte value's residue mod 2, so that ``bytes(parts).translate(_MOD2)``
+# maps a walk's parts (each at most ``TOTAL_CAP``) to residues in one
+# C-level pass.
+_MOD2 = bytes(v % 2 for v in range(256))
+
+
+def _mixed(parts: tuple[int, ...]) -> bool:
+    residues = bytes(parts).translate(_MOD2)
+    return 0 in residues and 1 in residues
+
+
 _PARITY_FILTERS = {
-    "all-odd": lambda parts: 0 not in _residues(parts),
-    "all-even": lambda parts: 1 not in _residues(parts),
-    "mixed": lambda parts: len(_residues(parts)) == 2,
+    "all-odd": lambda parts: 0 not in bytes(parts).translate(_MOD2),
+    "all-even": lambda parts: 1 not in bytes(parts).translate(_MOD2),
+    "mixed": _mixed,
     "distinct": lambda parts: len(set(parts)) == len(parts),
 }
 
@@ -220,18 +239,68 @@ def _walk(total: int, hi: int, lo: int, slots: int, exact: bool, step: int = 1,
         v = x - step
 
 
-def iter_parts(c: ConstraintRecord) -> Iterator[tuple[int, ...]]:
-    """Nonzero part tuples of every matching partition, once each, in
-    decreasing lexicographic order, generated lazily."""
-    if c.total > TOTAL_CAP:
-        raise ValueError(f"total {c.total} exceeds the enumeration cap {TOTAL_CAP}")
+def _first_fixed(total: int, firsts: Iterable[int], lo: int, slots: int, exact: bool, step: int,
+                 gap: int, frame: int | None) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``total`` whose first part is drawn from ``firsts``
+    (largest first), the rest walked below it; with ``frame`` set, exactly
+    ``frame - first + 1`` parts, the hook frame of such a partition."""
+    for a in firsts:
+        n = slots if frame is None else frame - a + 1
+        if 1 <= n <= slots and (n == slots or not exact):
+            for tail in _walk(total - a, a - gap, lo, n - 1, exact or frame is not None, step,
+                              gap):
+                yield (a,) + tail
+
+
+def _pruned_walk(c: ConstraintRecord) -> Iterator[tuple[int, ...]]:
+    """Nonzero part tuples within ``c``'s bounds and pruned fields, in
+    decreasing lexicographic order: every match of ``c``, and nothing else
+    when ``c`` sets one pruned field and a total of at least 1.
+
+    With a unit count j, the walk covers the other parts, and the ones are
+    appended to each tuple.
+    """
     lo, step = max(c.min_part or 1, 1), 1
     if c.parity in ("all-odd", "all-even"):
         # Every other value, from ``lo`` rounded up to the parity.
         lo += (lo + (c.parity == "all-odd")) % 2
         step = 2
-    stream = _walk(c.total, c.largest_bound, lo, c.slot_bound, c.exact_parts is not None, step,
-                   int(c.parity == "distinct"))
+    gap = int(c.parity == "distinct")
+    total, hi, slots, exact = c.total, c.largest_bound, c.slot_bound, c.exact_parts is not None
+    frame = c.hook_frame
+    if frame is None and c.layer is not None and total:
+        frame = total - c.layer + 1
+    ones = 0
+    if c.unit_count is not None:
+        ones = c.unit_count
+        # The ones take their slots, and need 1 to be an allowed value.
+        if ones > min(total, slots) or ones and (lo > 1 or hi < 1 or ones > 1 and gap):
+            return iter(())
+        total, slots = total - ones, slots - ones
+        if frame is not None:
+            frame -= ones
+        if lo == 1:
+            lo += step
+    if total and (frame is not None or c.exact_max_part is not None):
+        top = min(hi, total)
+        firsts = range(top - (top - lo) % step, lo - 1, -step)
+        if c.exact_max_part is not None:
+            firsts = [c.exact_max_part] if c.exact_max_part in firsts else []
+        stream = _first_fixed(total, firsts, lo, slots, exact, step, gap, frame)
+    else:
+        stream = _walk(total, hi, lo, slots, exact, step, gap)
+    if ones:
+        tail = (1,) * ones
+        stream = (parts + tail for parts in stream)
+    return stream
+
+
+def iter_parts(c: ConstraintRecord) -> Iterator[tuple[int, ...]]:
+    """Nonzero part tuples of every matching partition, once each, in
+    decreasing lexicographic order, generated lazily."""
+    if c.total > TOTAL_CAP:
+        raise ValueError(f"total {c.total} exceeds the enumeration cap {TOTAL_CAP}")
+    stream = _pruned_walk(c)
     for keep in _filters(c):
         stream = filter(keep, stream)
     return stream
@@ -241,7 +310,7 @@ def enumerate_partitions(c: ConstraintRecord) -> list[Partition]:
     """Every matching partition, once, in decreasing lexicographic order,
     zero-padded to ``c.padded_length``."""
     pad = c.padded_length
-    return [Partition(parts, max(pad, len(parts))) for parts in iter_parts(c)]
+    return [Partition._trusted(parts, max(pad, len(parts))) for parts in iter_parts(c)]
 
 
 def count(c: ConstraintRecord) -> int:

@@ -75,6 +75,15 @@ class Partition:
         self._nonzero = nonzero
         self._padded = padded_length
 
+    @classmethod
+    def _trusted(cls, nonzero: tuple[int, ...], padded_length: int) -> "Partition":
+        """A partition from parts already known to be valid (positive, weakly
+        decreasing, at most ``padded_length`` of them), built unchecked."""
+        q = object.__new__(cls)
+        q._nonzero = nonzero
+        q._padded = padded_length
+        return q
+
     @property
     def parts(self) -> tuple[int, ...]:
         return self._nonzero + (0,) * (self._padded - len(self._nonzero))
@@ -119,7 +128,7 @@ class Partition:
         cols = tuple(
             sum(1 for p in self._nonzero if p > j) for j in range(self.largest)
         )
-        return Partition(cols, max(self.largest, 1))
+        return Partition._trusted(cols, max(self.largest, 1))
 
     def to_ferrers(self, rows: int, cols: int) -> "FerrersMatrix":
         """Left-justified 0/1 matrix of the partition inside a rows x cols frame."""
@@ -128,7 +137,7 @@ class Partition:
         if cols < self.largest:
             raise FrameError(f"frame cols {cols} < largest part {self.largest}")
         ps = self._nonzero + (0,) * (rows - self.nonzero_count)
-        return FerrersMatrix(tuple((1,) * p + (0,) * (cols - p) for p in ps))
+        return FerrersMatrix._trusted(tuple((1,) * p + (0,) * (cols - p) for p in ps))
 
     def box_complement(self, rows: int, cols: int) -> "Partition":
         """Complement inside the all-ones rows x cols frame, then transverse.
@@ -167,7 +176,7 @@ class Partition:
     def interior(self) -> "Partition":
         """Partition left after deleting the first row and first column."""
         inner = tuple(v - 1 for v in self._nonzero[1:] if v > 1)
-        return Partition(inner, len(inner))
+        return Partition._trusted(inner, len(inner))
 
     def layer(self) -> int:
         """1 + size of the interior; 0 for the empty partition."""
@@ -195,6 +204,14 @@ class FerrersMatrix:
             bad = next(v for v in chain.from_iterable(self.cells) if v not in _BITS)
             raise ValueError(f"cell value {bad} not in {{0,1}}")
 
+    @classmethod
+    def _trusted(cls, cells: tuple[tuple[int, ...], ...]) -> "FerrersMatrix":
+        """A grid derived from a valid one (rectangular, 0/1 cells), built
+        without ``__post_init__``'s checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "cells", cells)
+        return m
+
     @property
     def rows(self) -> int:
         return len(self.cells)
@@ -218,20 +235,20 @@ class FerrersMatrix:
         return all(a >= b for a, b in zip(lengths, lengths[1:]))
 
     def transpose(self) -> "FerrersMatrix":
-        return FerrersMatrix(tuple(zip(*self.cells)))
+        return FerrersMatrix._trusted(tuple(zip(*self.cells)))
 
     def transverse(self) -> "FerrersMatrix":
         """Reverse both row and column order (180-degree rotation)."""
-        return FerrersMatrix(tuple(row[::-1] for row in self.cells[::-1]))
+        return FerrersMatrix._trusted(tuple(row[::-1] for row in self.cells[::-1]))
 
     def complement(self) -> "FerrersMatrix":
         """Subtract from the all-ones frame of the same shape."""
-        return FerrersMatrix(tuple(tuple(map((1).__sub__, row)) for row in self.cells))
+        return FerrersMatrix._trusted(tuple(tuple(map((1).__sub__, row)) for row in self.cells))
 
     def to_partition(self) -> Partition:
         if not self.is_ferrers():
             raise ValueError("grid is not Ferrers-shaped; transverse it first")
-        return Partition(tuple(k for k in self.row_lengths() if k > 0), self.rows)
+        return Partition._trusted(tuple(k for k in self.row_lengths() if k > 0), self.rows)
 
 
 @dataclass(frozen=True)

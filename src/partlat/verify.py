@@ -609,7 +609,7 @@ CHECKS = (
     Check("oracle-conjugation-symmetry", _oracle_conjugation, 12),
     Check("oracle-complement-symmetry", _oracle_complement),
     Check("oracle-determinism", _oracle_determinism, 9),
-    Check("counting-oracle-exhaustive", _counting_oracle_exhaustive, 14),
+    Check("counting-oracle-exhaustive", _counting_oracle_exhaustive, MAX_TOTAL),
     Check("counting-oracle-random", _counting_oracle_random),
     Check("exact-frame-conjugation", _exact_frame_conjugation, 12),
     Check("box-complement-law", _box_complement_law),

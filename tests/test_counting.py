@@ -310,6 +310,22 @@ class TestLayers:
         assert all(counting.diagonal_power_law(d) for d in range(1, 15))
 
 
+# Records at the oracle's cap that the oracle's pruning walks in well under a
+# second, each with the counting function it must agree with.
+AT_THE_CAP = (
+    [("layer", k, lambda k: counting.layer_count(80, k)) for k in range(1, 7)]
+    + [("exact_max_part", a, lambda a: counting.p_with_largest(a, 80)) for a in range(30, 81, 5)]
+    + [("hook_frame", h, lambda h: counting.hook_layer_count(h, 80 - h)) for h in range(1, 21)]
+    + [("unit_count", j, lambda j: counting.unit_diff_cell(80, j)) for j in range(60, 81)]
+)
+
+
+@pytest.mark.parametrize("name,value,want", AT_THE_CAP,
+                         ids=[f"{name}={value}" for name, value, _ in AT_THE_CAP])
+def test_oracle_at_the_cap_agrees_with_counting(name, value, want):
+    assert count(ConstraintRecord(total=80, **{name: value})) == want(value)
+
+
 def test_table_widths_match_the_scans():
     """The layer and distinct tables' last columns, now closed forms, equal
     the scan for the last nonzero layer cell and the staircase loop."""

@@ -2,7 +2,7 @@ import random
 import sys
 import tracemalloc
 from dataclasses import fields
-from itertools import islice
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -439,3 +439,64 @@ def test_walk_draws_only_allowed_values(monkeypatch, parity, step, gap):
     assert count(ConstraintRecord(total=30, parity=parity)) == len(_unpruned(
         ConstraintRecord(total=30, parity=parity)))
     assert calls[0] == (step, gap)
+
+
+# Bounds each pruned field is crossed with: one at a time, then a parity with
+# a slot bound or with part bounds.
+CONTEXTS = ([{}] + [{"parity": p} for p in oracle.PARITY_CHOICES[1:]]
+            + [{k: b} for k in ("max_part", "exact_max_part", "max_parts", "exact_parts")
+               for b in BOUNDS]
+            + [{"min_part": b} for b in (2, 3, 4)]
+            + [{"parity": p, **b} for p in oracle.PARITY_CHOICES[1:]
+               for b in ({"exact_parts": 3}, {"max_part": 5, "min_part": 2})])
+
+
+def _buckets(c, names):
+    """The unpruned, filtered walk of ``c`` grouped by the values the pruned
+    fields ``names`` read from each tuple."""
+    out = {}
+    for parts in _unpruned(c):
+        out.setdefault(tuple(oracle._KEYS[oracle._FILTERED[n]](parts) for n in names),
+                       []).append(parts)
+    return out
+
+
+@pytest.mark.parametrize("total", range(23))
+def test_field_pruning_drops_only_filtered_tuples(total):
+    """Exact largest part, unit count, layer and hook frame prune the walk;
+    for every value of each, under each bound and parity, and for every pair
+    of values of two of them, the stream is still the full walk, filtered."""
+    values = range(total + 2)
+    for context in CONTEXTS:
+        for name in oracle._FILTERED:
+            if name in context or EXCLUSIVE.get(name) in context:
+                continue
+            want = _buckets(ConstraintRecord(total=total, **context), (name,))
+            for v in values:
+                c = ConstraintRecord(total=total, **context, **{name: v})
+                assert list(iter_parts(c)) == want.get((v,), []), c
+    for names in combinations(oracle._FILTERED, 2):
+        want = _buckets(ConstraintRecord(total=total), names)
+        for pair in product(values, repeat=2):
+            c = ConstraintRecord(total=total, **dict(zip(names, pair)))
+            assert list(iter_parts(c)) == want.get(pair, []), c
+
+
+@pytest.mark.parametrize("parity", ("none", "all-odd", "all-even", "distinct"))
+@pytest.mark.parametrize("name", oracle._FILTERED)
+def test_a_pruned_field_walks_only_its_matches(monkeypatch, name, parity):
+    yielded = []
+    walk = oracle._walk
+
+    def counting_walk(*args):
+        for parts in walk(*args):
+            yielded.append(parts)
+            yield parts
+
+    monkeypatch.setattr(oracle, "_walk", counting_walk)
+    # Total 0 has one candidate, the empty tuple, which the filters judge.
+    for total in range(1, 23):
+        for value in range(total + 2):
+            yielded.clear()
+            assert count(ConstraintRecord(total=total, parity=parity, **{name: value})) == \
+                len(yielded), (name, parity, total, value)

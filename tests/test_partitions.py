@@ -49,6 +49,33 @@ class TestCanonicalize:
         assert hash(canonicalize((2, 1), 2)) == hash(canonicalize((2, 1), 5))
 
 
+    def test_public_constructor_messages(self):
+        with pytest.raises(ValueError, match=r"^parts not weakly decreasing: \(1, 2\)$"):
+            Partition((1, 2))
+        with pytest.raises(ValueError, match=r"^negative part in \(2, -1\)$"):
+            Partition((2, -1))
+        with pytest.raises(ValueError, match="^padded_length 1 < 2 nonzero parts$"):
+            Partition((2, 1), 1)
+
+    @pytest.mark.parametrize("total", range(11))
+    def test_derived_partitions_pass_the_public_checks(self, total):
+        """The oracle and the derived ops build partitions unchecked; each
+        must be the one the checked constructor builds from its parts."""
+        def derived(q):
+            yield q
+            yield q.conjugate()
+            yield q.interior()
+            yield q.box_complement(q.nonzero_count + 2, q.largest + 1)
+            yield q.to_ferrers(q.nonzero_count + 1, q.largest).to_partition()
+            yield q.to_ferrers(q.nonzero_count, q.largest + 1).transpose().to_partition()
+
+        for q in all_partitions(total, max_parts=total + 1):
+            for r in derived(q):
+                checked = Partition(r.parts, r.padded_length)
+                assert (r.nonzero_parts, r.padded_length) == \
+                    (checked.nonzero_parts, checked.padded_length), (q, r)
+
+
 class TestConjugate:
     def test_worked_value(self):
         # Brute-force route: transpose the 0/1 matrix and read row lengths.

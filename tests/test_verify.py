@@ -64,3 +64,7 @@ def test_an_off_by_one_family_is_named_by_both_cross_checks(monkeypatch, family)
     for name in ("counting-oracle-exhaustive", "counting-oracle-random"):
         detail = names_failure(name, verify.MAX_TOTAL)
         assert detail is not None and detail.startswith(f"{family.name}("), (name, detail)
+
+
+def test_the_exhaustive_cross_check_reads_every_total_verify_accepts():
+    assert check_named("counting-oracle-exhaustive").cap == verify.MAX_TOTAL == 25
