@@ -8,7 +8,6 @@ from .partitions import (
     Partition,
     canonicalize,
     from_multiplicity,
-    shift_base,
 )
 from .oracle import ConstraintRecord, classify, count, enumerate_partitions, iter_parts
 from .tables import CountTable
@@ -91,7 +90,6 @@ __all__ = [
     "partition_series",
     "pentagonal_pairs",
     "scheme_inverse",
-    "shift_base",
     "summation_matrix",
     "verify_suite",
 ]

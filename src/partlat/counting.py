@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 from operator import add, sub
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .partitions import Partition
 from .series import _divide_one_minus, _times_binomial, pentagonal_pairs
@@ -106,20 +106,6 @@ def exact_frame(largest: int, parts: int, total: int) -> int:
     return p_box(largest - 1, parts - 1, total - largest - parts + 1)
 
 
-def p_with_largest(largest: int, total: int) -> int:
-    """Partitions of ``total`` whose largest part is exactly ``largest``
-    (row sums of the partition scheme): conjugation swaps the largest part
-    with the part count, so these are the partitions into exactly
-    ``largest`` parts."""
-    return p_exact(total, largest)
-
-
-def p_with_parts(parts: int, total: int) -> int:
-    """Partitions of ``total`` into exactly ``parts`` parts, summed over the
-    largest part (column sums of the partition scheme)."""
-    return p_exact(total, parts)
-
-
 def p_min_part(total: int, parts: int, min_part: int) -> int:
     """Partitions of ``total`` into exactly ``parts`` parts, each >= min_part.
 
@@ -138,24 +124,28 @@ def odd_even_mixed(total: int) -> tuple[int, int, int, int]:
     """(all-odd, all-even, mixed, total) partition counts."""
     if total < 1:
         return (0, 1, 0, 1) if total == 0 else (0, 0, 0, 0)
-    return odd_even_mixed_table(total).cells[-1][-4:]
+    return next(_odd_even_mixed_rows(total, (total,)))[-4:]
 
 
 def odd_even_mixed_table(max_total: int) -> CountTable:
-    """All-odd counts by part count, with odd/even/mixed/p sums.  Adding 1
-    to each of j odd parts of m and halving leaves at most j parts of
-    (m - j) / 2, so the counts come from one sweep."""
+    """All-odd counts by part count, with odd/even/mixed/p sums."""
+    cols: list = list(range(1, max_total + 1)) + ["odd", "even", "mixed", "p"]
+    cells = tuple(_odd_even_mixed_rows(max_total, range(1, max_total + 1)))
+    return CountTable("odd-even-mixed", "m", "n", tuple(range(1, max_total + 1)),
+                      tuple(cols), cells, show_sums=False)
+
+
+def _odd_even_mixed_rows(max_total: int, totals: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """The odd-even-mixed table's rows m in ``totals`` (1 <= m <= max_total).
+    Adding 1 to each of j odd parts of m and halving leaves at most j parts
+    of (m - j) / 2, so every row comes from one sweep."""
     columns = list(_box_columns(max_total, max_total, max_total // 2))
     numbers = _partition_numbers(max_total)
-    cols: list = list(range(1, max_total + 1)) + ["odd", "even", "mixed", "p"]
-    cells = []
-    for m in range(1, max_total + 1):
+    for m in totals:
         odd = tuple(columns[j][(m - j) // 2] if j <= m and (m - j) % 2 == 0 else 0
                     for j in range(1, max_total + 1))
         even = numbers[m // 2] if m % 2 == 0 else 0
-        cells.append(odd + (sum(odd), even, numbers[m] - sum(odd) - even, numbers[m]))
-    return CountTable("odd-even-mixed", "m", "n", tuple(range(1, max_total + 1)),
-                      tuple(cols), tuple(cells), show_sums=False)
+        yield odd + (sum(odd), even, numbers[m] - sum(odd) - even, numbers[m])
 
 
 def distinct_exact(total: int, parts: int) -> int:
@@ -170,23 +160,29 @@ def distinct_row(total: int) -> tuple[tuple[int, ...], int]:
     difference (#odd part counts) - (#even part counts)."""
     if total < 1:
         return (), 0
-    row = distinct_table(total).cells[-1]  # the last row needs every column
+    row = next(_distinct_rows(total, (total,)))
     return row[:-2], row[-1]
 
 
 def distinct_table(max_total: int) -> CountTable:
-    # k distinct parts need 1 + 2 + ... + k = k(k + 1)/2 units.
+    cells = tuple(_distinct_rows(max_total, range(1, max_total + 1)))
+    width = len(cells[-1]) - 2 if cells else 0
+    cols: list = list(range(1, width + 1)) + ["total", "difference"]
+    return CountTable("distinct", "m", "n", tuple(range(1, max_total + 1)),
+                      tuple(cols), cells, show_sums=False)
+
+
+def _distinct_rows(max_total: int, totals: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """The distinct table's rows m in ``totals`` (1 <= m <= max_total): the
+    counts by part count, their total and the signed difference, from one
+    sweep.  k distinct parts need 1 + 2 + ... + k = k(k + 1)/2 units."""
     kmax = (math.isqrt(8 * max(max_total, 0) + 1) - 1) // 2
     columns = list(_box_columns(max_total, kmax, max_total))
-    cols: list = list(range(1, kmax + 1)) + ["total", "difference"]
-    cells = []
-    for m in range(1, max_total + 1):
+    for m in totals:
         counts = tuple(columns[k][m - k * (k + 1) // 2] if k * (k + 1) // 2 <= m else 0
                        for k in range(1, kmax + 1))
         diff = sum(c if k % 2 == 1 else -c for k, c in enumerate(counts, start=1))
-        cells.append(counts + (sum(counts), diff))
-    return CountTable("distinct", "m", "n", tuple(range(1, max_total + 1)),
-                      tuple(cols), tuple(cells), show_sums=False)
+        yield counts + (sum(counts), diff)
 
 
 # -- unit-part differences -------------------------------------------------
@@ -247,14 +243,6 @@ def right_hand_neighbor_table(max_total: int) -> CountTable:
     sums = list(accumulate(exact_table(max_total - 2).cells, lambda s, row: tuple(map(add, s, row))))
     return grid_table("neighbors", "m", "n", range(2, max_total + 1), range(1, max_total),
                       lambda m, n: sums[m - 2][n - 1])
-
-
-def neighbor_difference_row(total: int) -> tuple[int, ...]:
-    """Difference between consecutive neighbor-table rows (m and m-1): the
-    last prefix-sum term, p_exact(m - 2, n - 1) for n = 1..m-1."""
-    if total < 3:
-        raise ValueError("total must be >= 3")
-    return exact_table(total - 2).row(total - 2)
 
 
 # -- hook layers -------------------------------------------------------------

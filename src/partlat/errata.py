@@ -9,11 +9,13 @@ its own check.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable
 
 from . import counting, intmatrix, oracle
 from .partitions import MultiplicityVector, Partition
+from .schemes import build_scheme
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,6 @@ def _check_min_part_second_difference() -> bool:
 
 
 def _check_scheme_seven_total() -> bool:
-    from .schemes import build_scheme
-
     return build_scheme(7).total == 15 and counting.p(7) == 15
 
 
@@ -212,13 +212,6 @@ ERRATA: tuple[Erratum, ...] = (
 )
 
 
-def by_ident(ident: str) -> Erratum:
-    for e in ERRATA:
-        if e.ident == ident:
-            return e
-    raise KeyError(ident)
-
-
 # The ledger fields each renderer prints after the ident, in order.
 _FIELDS = ("where", "printed", "witness", "corrected")
 
@@ -230,7 +223,5 @@ def render_text() -> str:
 
 
 def render_json() -> str:
-    import json
-
     return json.dumps([{"ident": e.ident, **{name: getattr(e, name) for name in _FIELDS}}
                        for e in ERRATA], indent=2) + "\n"

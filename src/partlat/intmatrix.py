@@ -107,8 +107,8 @@ def invert_unitriangular(a: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(inv), LOWER)
 
 
-def from_cell(n: int, cell: Callable[[int, int], int], shape_tag: str = GENERAL) -> IntMatrix:
-    return IntMatrix(tuple(tuple(cell(i, j) for j in range(n)) for i in range(n)), shape_tag)
+def from_cell(n: int, cell: Callable[[int, int], int]) -> IntMatrix:
+    return IntMatrix(tuple(tuple(cell(i, j) for j in range(n)) for i in range(n)))
 
 
 # -- Toeplitz matrices: the summation operators and the partition pair ----
@@ -123,19 +123,16 @@ def toeplitz(column: Sequence[int]) -> IntMatrix:
     return IntMatrix(tuple(c[i::-1] + (0,) * (n - 1 - i) for i in range(n)), LOWER)
 
 
-def summation_matrix(n: int, upper: bool = False) -> IntMatrix:
-    """All-ones triangular matrix, the Toeplitz matrix of 1/(1 - t):
-    right-multiplying by the upper variant turns a row into its running
-    sums."""
-    lower = toeplitz((1,) * n)
-    return lower.transpose() if upper else lower
+def summation_matrix(n: int) -> IntMatrix:
+    """All-ones lower triangular matrix, the Toeplitz matrix of 1/(1 - t):
+    right-multiplying by its transpose turns a row into its running sums."""
+    return toeplitz((1,) * n)
 
 
-def summation_inverse(n: int, upper: bool = False) -> IntMatrix:
+def summation_inverse(n: int) -> IntMatrix:
     """Bidiagonal inverse of the summation matrix (1 on the diagonal, -1
-    beside it), the Toeplitz matrix of 1 - t."""
-    lower = toeplitz(((1, -1) + (0,) * n)[:n])
-    return lower.transpose() if upper else lower
+    below it), the Toeplitz matrix of 1 - t."""
+    return toeplitz(((1, -1) + (0,) * n)[:n])
 
 
 def partition_matrix(n: int) -> IntMatrix:

@@ -62,47 +62,21 @@ _BYTES = [bytes((v,)) for v in range(256)]
 class OrbitLattice:
     """A graph on the labels ``nodes``; node i is ``nodes[i]``.
 
-    ``edges`` is a read-only sequence of label pairs (``nodes[i]``,
-    ``nodes[j]``) with i < j, sorted by (i, j).  The constructor takes
-    label pairs in any order and orientation, and refuses duplicate nodes,
-    self-loops, endpoints outside ``nodes`` and an edge given twice (in
-    either orientation).
+    ``low`` and ``high`` are ``array('I')`` columns of node pairs i < j in
+    strictly increasing order, which the constructor checks (see
+    :func:`_check_columns`); the labels are taken as distinct.  ``edges``
+    is a read-only sequence of the label pairs (``nodes[i]``,
+    ``nodes[j]``), in the same order.
     """
 
-    def __init__(self, variant: str, nodes, edges):
-        nodes = tuple(nodes)
-        index = dict(zip(nodes, range(len(nodes))))
-        if len(index) != len(nodes):
-            raise ValueError("duplicate nodes")
-        pairs = set()
-        for a, b in edges:
-            if a == b:
-                raise ValueError(f"self-loop at {a}")
-            if a not in index or b not in index:
-                raise ValueError(f"edge ({a}, {b}) leaves the node set")
-            pair = tuple(sorted((index[a], index[b])))
-            if pair in pairs:
-                raise ValueError("duplicate edges")
-            pairs.add(pair)
-        pairs = sorted(pairs)
-        self._init(variant, nodes, array("I", [i for i, _ in pairs]),
-                   array("I", [j for _, j in pairs]))
-
-    def _init(self, variant: str, nodes: tuple[str, ...], low: array, high: array) -> None:
+    def __init__(self, variant: str, nodes: Sequence[str], low: array, high: array):
+        _check_columns(len(nodes), low, high)
         self.variant = variant
-        self.nodes = nodes
+        self.nodes = tuple(nodes)
         # A list's __getitem__ maps indices to labels faster than a tuple's.
         self._labels = list(nodes)
         self._low, self._high = low, high
         self.edges = _Edges(self)
-
-    @classmethod
-    def _from_columns(cls, variant: str, nodes: tuple[str, ...], low: array,
-                      high: array) -> "OrbitLattice":
-        """The lattice on checked columns (see :func:`_check_columns`)."""
-        lattice = cls.__new__(cls)
-        lattice._init(variant, nodes, low, high)
-        return lattice
 
     def __repr__(self) -> str:
         return f"OrbitLattice({self.variant!r}, {self.node_count} nodes, {self.edge_count} edges)"
@@ -284,8 +258,8 @@ def _collect(variant: str, nodes: dict, moves) -> OrbitLattice:
     to the nodes ``moves(node)`` yields, each edge from one of its ends.
     Nodes are numbered in label order and visited last to first; a move to
     an earlier node waits in ``behind`` until its turn, so only edges met
-    at their higher end are held.  :func:`_check_columns` refuses a
-    self-move or an edge yielded from both ends, as a repeated pair."""
+    at their higher end are held.  The constructor's column check refuses
+    a self-move or an edge yielded from both ends, as a repeated pair."""
     order = sorted(nodes, key=nodes.__getitem__)
     index = dict(zip(order, range(len(order)))).__getitem__
     behind = {}
@@ -302,8 +276,7 @@ def _collect(variant: str, nodes: dict, moves) -> OrbitLattice:
         high.extend(row)
     low.reverse()
     high.reverse()
-    _check_columns(len(order), low, high)
-    return OrbitLattice._from_columns(variant, tuple(map(nodes.__getitem__, order)), low, high)
+    return OrbitLattice(variant, tuple(map(nodes.__getitem__, order)), low, high)
 
 
 def _partition_nodes(total: int, slots: int) -> dict[bytes, str]:

@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
-from .partitions import Partition
+from .partitions import Partition, require_ints
 
 PARITY_CHOICES = ("none", "all-odd", "all-even", "mixed", "distinct")
 
@@ -69,8 +69,8 @@ class ConstraintRecord:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.name != "parity" and type(v) is not int and (v is not None or f.name == "total"):
-                raise ValueError(f"{f.name} must be an integer")
+            if f.name != "parity" and (v is not None or f.name == "total"):
+                require_ints(f.name, v)
         if self.total < 0:
             raise ValueError("total must be >= 0")
         if self.max_parts is not None and self.exact_parts is not None:

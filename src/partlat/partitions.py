@@ -22,6 +22,17 @@ class FrameError(ValueError):
     """A partition does not fit the requested rectangular frame."""
 
 
+_INT = frozenset((int,))
+
+
+def require_ints(name: str, *values: object) -> None:
+    """Refuse unless every value is a plain ``int``: a bool, a float or an
+    int subclass raises ``ValueError("<name> must be an integer")``.  One
+    C-level pass over the value types."""
+    if not _INT.issuperset(map(type, values)):
+        raise ValueError(f"{name} must be an integer")
+
+
 def canonicalize(values: Iterable[int], padded_length: int | None = None) -> "Partition":
     """Sort ``values`` into weakly decreasing order and zero-pad.
 
@@ -30,6 +41,7 @@ def canonicalize(values: Iterable[int], padded_length: int | None = None) -> "Pa
     :class:`MultiplicityVector`.
     """
     vals = list(values)
+    require_ints("each part", *vals)
     for v in vals:
         if v < 0:
             raise ValueError(f"negative part {v}: use MultiplicityVector for shifted bases")
@@ -62,6 +74,7 @@ class Partition:
 
     def __init__(self, parts: Sequence[int], padded_length: int | None = None):
         parts = tuple(parts)
+        require_ints("each part", *parts)
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts not weakly decreasing: {parts}")
@@ -220,10 +233,6 @@ class FerrersMatrix:
     def cols(self) -> int:
         return len(self.cells[0]) if self.cells else 0
 
-    @property
-    def ones_count(self) -> int:
-        return sum(map(sum, self.cells))
-
     def row_lengths(self) -> tuple[int, ...]:
         return tuple(map(sum, self.cells))
 
@@ -290,7 +299,3 @@ def from_multiplicity(v: MultiplicityVector) -> tuple[int, ...]:
     for i, c in enumerate(v.counts):
         parts.extend([v.base + i] * c)
     return tuple(sorted(parts, reverse=True))
-
-
-def shift_base(v: MultiplicityVector, s: int) -> MultiplicityVector:
-    return v.shift(s)

@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def _check_order(order: int) -> None:
@@ -58,13 +58,6 @@ class TruncatedSeries:
     def __post_init__(self):
         if not self.coefficients:
             raise ValueError("a series carries at least the constant term")
-
-    @classmethod
-    def from_coefficients(cls, coeffs: Iterable[int], order: int | None = None) -> "TruncatedSeries":
-        c = list(coeffs)
-        if order is not None:
-            c = (c + [0] * (order + 1))[: order + 1]
-        return cls(tuple(c))
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":

@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 
 from . import counting, errata, intmatrix, lattices, schemes, series
 from .oracle import ConstraintRecord, classify, count, enumerate_partitions
-from .partitions import Partition
+from .partitions import Partition, from_multiplicity, require_ints
 
 RANDOM_SEED = 20240517
 # Largest max_total verify_suite accepts.
@@ -105,8 +105,6 @@ def _complement_sum_law():
 
 
 def _multiplicity_round_trip(top):
-    from .partitions import from_multiplicity
-
     for m in range(top + 1):
         for q in _all_partitions(m):
             back = from_multiplicity(q.to_multiplicity(0))
@@ -251,9 +249,10 @@ _EQUIVALENCES = (
                  lambda m, j: counting.unit_diff_cell(m, j)),
     _Equivalence("layer_count", ("total", "layer"), lambda m: product((m,), range(1, m + 1)),
                  lambda m, k: counting.layer_count(m, k)),
-    _Equivalence("p_with_largest", ("exact_max_part", "total"),
+    # Conjugation swaps the largest part with the part count.
+    _Equivalence("largest", ("exact_max_part", "total"),
                  lambda m: product(range(1, m + 1), (m,)),
-                 lambda a, m: counting.p_with_largest(a, m)),
+                 lambda a, m: counting.p_exact(m, a)),
 )
 
 
@@ -463,10 +462,10 @@ def _cumulative_relation():
     n = 20
     exact = intmatrix.from_cell(n, lambda i, j: counting.p_exact(i, j))
     atmost = intmatrix.from_cell(n, lambda i, j: counting.p_atmost(i, j))
-    up = intmatrix.summation_matrix(n, upper=True)
+    up = intmatrix.summation_matrix(n).transpose()
     if intmatrix.multiply(exact, up).entries != atmost.entries:
         return "cumulating the exact table misses the at-most table"
-    back = intmatrix.multiply(atmost, intmatrix.summation_inverse(n, upper=True))
+    back = intmatrix.multiply(atmost, intmatrix.summation_inverse(n).transpose())
     if back.entries != exact.entries:
         return "differencing the at-most table misses the exact table"
     return None
@@ -491,10 +490,10 @@ def _scheme_totals(top):
         if t.total != numbers[m]:
             return f"scheme {m} total"
         for n in range(1, m + 1):
-            if sum(t.column(n)) != counting.p_with_parts(n, m):
+            if sum(t.column(n)) != counting.p_exact(m, n):
                 return f"scheme {m} column {n}"
         for m1 in range(1, m + 1):
-            if sum(t.row(m1)) != counting.p_with_largest(m1, m):
+            if sum(t.row(m1)) != counting.p_exact(m, m1):
                 return f"scheme {m} row {m1}"
     return None
 
@@ -644,6 +643,7 @@ CHECKS = (
 
 def verify_suite(max_total: int = 12) -> Report:
     """Run every named invariant and erratum demonstration."""
+    require_ints("max_total", max_total)
     if not 1 <= max_total <= MAX_TOTAL:
         raise ValueError(f"max_total must be between 1 and {MAX_TOTAL}")
     results = []

@@ -182,8 +182,11 @@ def test_c09_neighbor_table_and_row_sum_law():
     }
     for m, row in printed.items():
         assert lattices.column_edge_counts(m) == row
-    assert counting.neighbor_difference_row(7) == (0, 1, 2, 2, 1, 1)
-    assert sum(counting.neighbor_difference_row(7)) == 7
+    table = counting.right_hand_neighbor_table(7)
+    difference = tuple(a - b for a, b in zip(table.row(7), table.row(6)))
+    assert difference == (0, 1, 2, 2, 1, 1)
+    assert difference == tuple(counting.p_exact(5, n) for n in range(6))
+    assert sum(difference) == 7
     for m in range(2, 13):
         assert sum(lattices.column_edge_counts(m)) == sum(
             counting.p(k) for k in range(m - 1))

@@ -129,16 +129,18 @@ class TestExactFrame:
 
 class TestPartiallyRestrictedSums:
     def test_scheme_row_and_column_sums_for_seven(self):
-        assert counting.p_with_parts(2, 7) == 3
-        assert counting.p_with_largest(7, 7) == 1
+        assert counting.p_exact(7, 2) == 3
+        assert counting.p_exact(7, 7) == 1
 
     def test_scheme_thirteen_column(self):
-        assert counting.p_with_parts(3, 13) == 14
+        assert counting.p_exact(13, 3) == 14
 
     def test_column_sums_match_exact_counts(self):
         for m in range(1, 13):
+            t = schemes.build_scheme(m)
             for n in range(1, m + 1):
-                assert counting.p_with_parts(n, m) == counting.p_exact(m, n)
+                assert sum(t.column(n)) == counting.p_exact(m, n)
+                assert sum(t.row(n)) == counting.p_exact(m, n)
 
 
 class TestPMinPart:
@@ -265,7 +267,8 @@ class TestNeighborTable:
             assert s == sum(counting.p(k) for k in range(m - 1))
 
     def test_difference_row(self):
-        assert counting.neighbor_difference_row(7) == (0, 1, 2, 2, 1, 1)
+        t = counting.right_hand_neighbor_table(7)
+        assert tuple(a - b for a, b in zip(t.row(7), t.row(6))) == (0, 1, 2, 2, 1, 1)
 
     def test_rows_match_the_lattice_walk(self):
         t = counting.right_hand_neighbor_table(18)
@@ -273,7 +276,7 @@ class TestNeighborTable:
             assert t.row(m) == lattices.column_edge_counts(m) + (0,) * (18 - m)
         for m in range(3, 19):
             step = tuple(a - b for a, b in zip(t.row(m), t.row(m - 1)))
-            assert counting.neighbor_difference_row(m) == step[:m - 1]
+            assert tuple(counting.p_exact(m - 2, n - 1) for n in range(1, m)) == step[:m - 1]
 
 
 class TestLayers:
@@ -314,7 +317,7 @@ class TestLayers:
 # second, each with the counting function it must agree with.
 AT_THE_CAP = (
     [("layer", k, lambda k: counting.layer_count(80, k)) for k in range(1, 7)]
-    + [("exact_max_part", a, lambda a: counting.p_with_largest(a, 80)) for a in range(30, 81, 5)]
+    + [("exact_max_part", a, lambda a: counting.p_exact(80, a)) for a in range(30, 81, 5)]
     + [("hook_frame", h, lambda h: counting.hook_layer_count(h, 80 - h)) for h in range(1, 21)]
     + [("unit_count", j, lambda j: counting.unit_diff_cell(80, j)) for j in range(60, 81)]
 )
@@ -504,8 +507,7 @@ class TestKernelAgainstRecursiveReferences:
         for m in range(41):
             for a in range(m + 2):
                 want = sum(ref_frame(a, n, m) for n in range(1, m + 1)) if a else int(m == 0)
-                assert counting.p_with_largest(a, m) == want
-                assert counting.p_with_parts(a, m) == want
+                assert counting.p_exact(m, a) == want
 
     def test_scheme_and_layers(self, deep_stack):
         total = 45
@@ -543,8 +545,8 @@ class TestCorrectedRecurrencesOnTheKernel:
 
 @pytest.mark.parametrize("call", [
     "p_box(-1, 1, 1)", "p_box(-2, 3, 5)", "p_box(2, -1, 1)", "p_box(-1, 0, 0)",
-    "exact_frame(-1, 2, 1)", "exact_frame(3, -1, 4)", "p_with_largest(-1, 3)",
-    "p_with_parts(-1, 3)", "p_atmost(3, -1)", "p_exact(3, -1)", "box_table(0, -1).cells[0][0]",
+    "exact_frame(-1, 2, 1)", "exact_frame(3, -1, 4)", "p_min_part(3, -1, 2)",
+    "distinct_exact(3, -1)", "p_atmost(3, -1)", "p_exact(3, -1)", "box_table(0, -1).cells[0][0]",
 ])
 def test_negative_bound_counts_nothing(call):
     assert eval(call, vars(counting)) == 0

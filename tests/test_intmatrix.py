@@ -97,19 +97,23 @@ class TestShapeValidation:
 
 class TestSummation:
     def test_upper_definition(self):
-        assert summation_matrix(3, upper=True).entries == ((1, 1, 1), (0, 1, 1), (0, 0, 1))
+        up = summation_matrix(3).transpose()
+        assert up.entries == ((1, 1, 1), (0, 1, 1), (0, 0, 1)) and up.shape_tag == UPPER
 
     def test_upper_inverse_pattern(self):
-        assert summation_inverse(3, upper=True).entries == ((1, -1, 0), (0, 1, -1), (0, 0, 1))
+        up = summation_inverse(3).transpose()
+        assert up.entries == ((1, -1, 0), (0, 1, -1), (0, 0, 1)) and up.shape_tag == UPPER
 
     @pytest.mark.parametrize("upper", (False, True))
     def test_closed_form_inverse(self, upper):
-        got = invert_unitriangular(summation_matrix(6, upper=upper))
-        assert got.entries == summation_inverse(6, upper=upper).entries
+        a, inverse = summation_matrix(6), summation_inverse(6)
+        if upper:
+            a, inverse = a.transpose(), inverse.transpose()
+        assert invert_unitriangular(a) == inverse
 
     def test_cumulating_the_exact_row(self):
         row = [counting.p_exact(6, n) for n in range(7)]
-        up = summation_matrix(7, upper=True)
+        up = summation_matrix(7).transpose()
         cumulated = multiply(from_rows([row]), up)
         assert cumulated.entries[0] == (0, 1, 4, 7, 9, 10, 11)
 
@@ -117,8 +121,8 @@ class TestSummation:
         n = 20
         exact = intmatrix.from_cell(n, lambda i, j: counting.p_exact(i, j))
         atmost = intmatrix.from_cell(n, lambda i, j: counting.p_atmost(i, j))
-        assert multiply(exact, summation_matrix(n, upper=True)).entries == atmost.entries
-        assert multiply(atmost, summation_inverse(n, upper=True)).entries == exact.entries
+        assert multiply(exact, summation_matrix(n).transpose()).entries == atmost.entries
+        assert multiply(atmost, summation_inverse(n).transpose()).entries == exact.entries
 
 
 class TestMultiplyInvert:
@@ -207,16 +211,16 @@ class TestToeplitzBuilder:
             "euler": (euler_matrix, LOWER,
                       lambda i, j: series.euler_coefficient(i - j) if i >= j else 0),
             "summation": (summation_matrix, LOWER, lambda i, j: 1 if j <= i else 0),
-            "summation-upper": (lambda n: summation_matrix(n, upper=True), UPPER,
+            "summation-upper": (lambda n: summation_matrix(n).transpose(), UPPER,
                                 lambda i, j: 1 if j >= i else 0),
             "summation-inverse": (summation_inverse, LOWER,
                                   lambda i, j: 1 if i == j else (-1 if j == i - 1 else 0)),
-            "summation-inverse-upper": (lambda n: summation_inverse(n, upper=True), UPPER,
+            "summation-inverse-upper": (lambda n: summation_inverse(n).transpose(), UPPER,
                                         lambda i, j: 1 if i == j else (-1 if j == i + 1 else 0)),
         }
         for n in range(1, 61):
             for name, (make, tag, cell) in cells.items():
-                assert make(n) == intmatrix.from_cell(n, cell, tag), (name, n)
+                assert make(n) == IntMatrix(intmatrix.from_cell(n, cell).entries, tag), (name, n)
             assert inverse_unit_diff_matrix(n) == invert_unitriangular(unit_diff_matrix(n)), n
 
 

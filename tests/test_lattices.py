@@ -105,7 +105,8 @@ class TestDistances:
 
     def test_disconnected_is_infinite(self):
         hyper = build_hypercube(2)
-        pruned = lattices.OrbitLattice("hypercube", hyper.nodes, (("00", "01"),))
+        pruned = lattices.OrbitLattice("hypercube", hyper.nodes, array("I", [0]), array("I", [1]))
+        assert pruned.edges == (("00", "01"),)
         assert distance(pruned, "10", "01") == math.inf
 
 
@@ -322,25 +323,11 @@ class TestPublicConstructor:
     NODES = ("a", "b", "c", "d")
 
     def test_normalizes_orientation_and_order(self):
-        lat = lattices.OrbitLattice("g", self.NODES, (("d", "b"), ("b", "a"), ("c", "a")))
+        moves = {"d": ("b",), "b": ("a",), "c": ("a",)}
+        lat = lattices._collect("g", {n: n for n in self.NODES}, lambda n: moves.get(n, ()))
         assert lat.edges == (("a", "b"), ("a", "c"), ("b", "d"))
         assert lat.neighbors("a") == ("b", "c") and lat.degree("d") == 1
         assert distance(lat, "c", "d") == 3
-
-    @pytest.mark.parametrize("edges,message", [
-        ((("a", "b"), ("c", "c")), "self-loop at c"),
-        ((("a", "b"), ("b", "e")), r"edge \(b, e\) leaves the node set"),
-        ((("e", "a"),), r"edge \(e, a\) leaves the node set"),
-        ((("a", "b"), ("c", "d"), ("a", "b")), "duplicate edges"),
-        ((("a", "b"), ("b", "a")), "duplicate edges"),
-    ])
-    def test_refusals(self, edges, message):
-        with pytest.raises(ValueError, match=message):
-            lattices.OrbitLattice("g", self.NODES, edges)
-
-    def test_duplicate_nodes_refused(self):
-        with pytest.raises(ValueError, match="duplicate nodes"):
-            lattices.OrbitLattice("g", ("a", "b", "a"), ())
 
     @pytest.mark.parametrize("low,high", [
         ((0, 1), (1, 1)),  # a self-loop
@@ -352,10 +339,15 @@ class TestPublicConstructor:
     def test_builder_columns_checked(self, low, high):
         with pytest.raises(ValueError, match="not increasing pairs"):
             lattices._check_columns(4, array("I", low), array("I", high))
+        with pytest.raises(ValueError, match="not increasing pairs"):
+            lattices.OrbitLattice("g", self.NODES, array("I", low), array("I", high))
 
     def test_builder_columns_pass(self):
         lattices._check_columns(4, array("I", (0, 0, 1, 2)), array("I", (1, 3, 2, 3)))
         lattices._check_columns(0, array("I"), array("I"))
+        lat = lattices.OrbitLattice("g", self.NODES, array("I", (0, 0, 1, 2)),
+                                    array("I", (1, 3, 2, 3)))
+        assert lat.edges == (("a", "b"), ("a", "d"), ("b", "c"), ("c", "d"))
 
 
 @pytest.mark.parametrize("build", (
@@ -419,8 +411,8 @@ class TestStreamedExport:
         lambda: build_unit_exchange(7, 7), lambda: build_split_merge(12, 4),
         lambda: build_hypercube(4), lambda: build_subset_double_swap(5, 1),
         lambda: build_unit_exchange(0, 1),
-        lambda: lattices.OrbitLattice('we"ird\u00e9', ("b", "a"), (("a", "b"),)),
-        lambda: lattices.OrbitLattice("empty", (), ()),
+        lambda: lattices.OrbitLattice('we"ird\u00e9', ("b", "a"), array("I", [0]), array("I", [1])),
+        lambda: lattices.OrbitLattice("empty", (), array("I"), array("I")),
     )
 
     @staticmethod

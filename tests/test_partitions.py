@@ -1,3 +1,5 @@
+from enum import IntEnum
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from partlat.partitions import (
     canonicalize,
     from_multiplicity,
     label_of,
-    shift_base,
+    require_ints,
 )
 
 
@@ -37,6 +39,11 @@ class TestCanonicalize:
     def test_rejects_short_padding(self):
         with pytest.raises(ValueError):
             canonicalize((2, 1), 1)
+
+    @pytest.mark.parametrize("values", [(2.5, 1), (2, True), (3, 0.0), ("1",)])
+    def test_rejects_non_integer_values(self, values):
+        with pytest.raises(ValueError, match="^each part must be an integer$"):
+            canonicalize(values)
 
     @given(st.lists(st.integers(0, 30), max_size=8))
     def test_idempotent(self, values):
@@ -76,6 +83,27 @@ class TestCanonicalize:
                     (checked.nonzero_parts, checked.padded_length), (q, r)
 
 
+class TestIntegerParts:
+    @pytest.mark.parametrize("parts", [(3, 1.5), (3, True), (2.0,), (3, 0.0), ("2",)])
+    def test_partition_refuses_non_integer_parts(self, parts):
+        with pytest.raises(ValueError, match="^each part must be an integer$"):
+            Partition(parts)
+
+    def test_float_part_no_longer_conjugates(self):
+        # Accepted before, this conjugated to Partition([2, 2, 1]): total 5, not 4.5.
+        with pytest.raises(ValueError):
+            Partition((3, 1.5)).conjugate()
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1", None, IntEnum("E", "A").A])
+    def test_helper_refuses_anything_but_a_plain_int(self, value):
+        with pytest.raises(ValueError, match="^x must be an integer$"):
+            require_ints("x", 1, value)
+
+    def test_helper_passes_plain_ints(self):
+        require_ints("x")
+        require_ints("x", 0, -3, 10 ** 30)
+
+
 class TestConjugate:
     def test_worked_value(self):
         # Brute-force route: transpose the 0/1 matrix and read row lengths.
@@ -113,7 +141,7 @@ class TestFerrers:
 
     def test_ones_count_and_row_lengths(self):
         f = Partition((3, 2, 1, 1)).to_ferrers(4, 3)
-        assert f.ones_count == 7
+        assert sum(map(sum, f.cells)) == 7
         assert f.row_lengths() == (3, 2, 1, 1)
 
     def test_frame_too_small(self):
@@ -223,8 +251,8 @@ class TestMultiplicity:
         pattern = MultiplicityVector(-2, (4, 0, 0, 0, 0, 1))
         sums = [pattern.shift(s).weighted_sum for s in range(5)]
         assert sums == [-5, 0, 5, 10, 15]
-        assert shift_base(pattern, 0) == pattern
-        moved = shift_base(pattern, 3)
+        assert pattern.shift(0) == pattern
+        moved = pattern.shift(3)
         assert moved.base == 1 and moved.counts == pattern.counts
         assert moved.weighted_sum == -5 + 3 * 5
 

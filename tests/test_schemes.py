@@ -88,10 +88,9 @@ class TestSchemeStructure:
         t = build_scheme(total)
         assert t.total == counting.p(total)
         for n in range(1, total + 1):
-            assert sum(t.column(n)) == counting.p_with_parts(n, total)
             assert sum(t.column(n)) == counting.p_exact(total, n)
         for m1 in range(1, total + 1):
-            assert sum(t.row(m1)) == counting.p_with_largest(m1, total)
+            assert sum(t.row(m1)) == counting.p_exact(total, m1)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ sparse_coefficients = st.builds(
 
 class TestArithmetic:
     def test_geometric_identity(self):
-        one_minus_t = TruncatedSeries.from_coefficients([1, -1], 16)
+        one_minus_t = TruncatedSeries((1, -1) + (0,) * 15)
         geometric = TruncatedSeries((1,) * 17)
         assert one_minus_t * geometric == TruncatedSeries.one(16)
 

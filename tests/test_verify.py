@@ -68,3 +68,11 @@ def test_an_off_by_one_family_is_named_by_both_cross_checks(monkeypatch, family)
 
 def test_the_exhaustive_cross_check_reads_every_total_verify_accepts():
     assert check_named("counting-oracle-exhaustive").cap == verify.MAX_TOTAL == 25
+
+
+@pytest.mark.parametrize("max_total", (True, 5.5, "12", None))
+def test_a_non_integer_bound_is_refused_before_any_check(max_total):
+    # True passed the range test and failed oracle-determinism; 5.5 failed
+    # 14 checks, 13 of them with TypeError.
+    with pytest.raises(ValueError, match="^max_total must be an integer$"):
+        verify.verify_suite(max_total)
