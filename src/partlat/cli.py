@@ -199,7 +199,7 @@ SERIES_KINDS = {
     "distinct": Entry("partitions into distinct parts",
                       lambda a: series.distinct_series(a.order), (ORDER,)),
     "distinct-signed": Entry("distinct parts, even minus odd part counts",
-                             lambda a: series.distinct_series(a.order, signed=True), (ORDER,)),
+                             lambda a: series.euler_product(a.order), (ORDER,)),
     "capped": Entry("product over --caps of 1 + t^k + ... + t^(cap k)",
                     lambda a: series.capped_product(_parse_caps(a.caps), a.order), (ORDER,)),
 }

@@ -22,7 +22,7 @@ from itertools import accumulate
 from operator import add, sub
 from typing import Iterable, Iterator
 
-from .partitions import Partition
+from .partitions import Partition, require_ints
 from .series import _divide_one_minus, _times_binomial, pentagonal_pairs
 from .tables import CountTable, grid_table
 
@@ -215,8 +215,7 @@ def franklin_trapezoids(k: int) -> tuple[Partition, Partition]:
     """The two minimal k-row trapezoids with consecutive parts differing by
     one; their sizes are the generalized pentagonal pair
     (k(3k-1)/2, k(3k+1)/2)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_ints("k", k, low=1)
     first = Partition(tuple(range(2 * k - 1, k - 1, -1)))
     second = Partition(tuple(range(2 * k, k, -1)))
     return first, second
@@ -238,8 +237,7 @@ def right_hand_neighbor_table(max_total: int) -> CountTable:
     removing one copy of x leaves a partition of m - x into n - 1 parts:
     cell (m, n) sums p_exact(j, n - 1) over j = 0..m-2, down the exact
     table."""
-    if max_total < 2:
-        raise ValueError("max_total must be >= 2")
+    require_ints("max_total", max_total, low=2)
     sums = list(accumulate(exact_table(max_total - 2).cells, lambda s, row: tuple(map(add, s, row))))
     return grid_table("neighbors", "m", "n", range(2, max_total + 1), range(1, max_total),
                       lambda m, n: sums[m - 2][n - 1])
@@ -264,24 +262,20 @@ def _frame_interiors(frames: int) -> Iterator[tuple[int, int, list[int]]]:
             column.pop()
 
 
-def hook_layer_count(frame: int, interior_total: int) -> int:
-    """Partitions whose hook frame has ``frame`` units and whose interior
-    partitions ``interior_total``: sum over the first-row length r of the
-    interior counts inside the (r-1) x (frame-r) box."""
-    return sum(p_box(r - 1, frame - r, interior_total) for r in range(1, frame + 1))
-
-
 def layer_count(total: int, layer: int) -> int:
-    """Partitions of ``total`` in the given layer (1 + interior size)."""
+    """Partitions of ``total`` in the given layer (1 + interior size): the
+    hook frame holds total - layer + 1 units and the interior layer - 1, so
+    sum over the first-row length r of the interior counts inside the
+    (r-1) x (frame-r) box."""
     if layer < 1 or layer > total:
         return 0
-    return hook_layer_count(total - layer + 1, layer - 1)
+    frame = total - layer + 1
+    return sum(p_box(r - 1, frame - r, layer - 1) for r in range(1, frame + 1))
 
 
 def layer_table(max_total: int) -> CountTable:
-    if max_total < 1:
-        raise ValueError("max_total must be >= 1")
-    # hooks[f][t] = hook_layer_count(f, t) for every frame and interior
+    require_ints("max_total", max_total, low=1)
+    # hooks[f][t] = layer_count(f + t, t + 1) for every frame and interior
     # that fit in a total up to max_total: t <= max_total - f.
     hooks = [[0] * max_total for _ in range(max_total + 1)]
     for a, b, column in _frame_interiors(max_total):
@@ -305,9 +299,13 @@ def diagonal_sum(frame: int) -> int:
     """Total number of partitions (of any size) with the given hook frame:
     its hook layers summed over every interior size up to (frame-1)^2 / 4,
     that is, the whole a x (frame - 1 - a) interior box of each first row
-    a + 1: the last column of one kernel sweep each."""
-    if frame < 1:
-        raise ValueError("frame must be >= 1")
+    a + 1: the last column of one kernel sweep each.
+
+    The source states diagonal_sum(frame) == 2**(frame-1) as a conjecture;
+    it follows from the binomial rows: frame d holds C(d-1, a) partitions
+    in each a x (d-1-a) interior box (see :func:`binomial_row`), and these
+    sum to 2**(d-1)."""
+    require_ints("frame", frame, low=1)
     total = 0
     for a in range(frame):
         for column in _box_columns(a, frame - 1 - a, (frame - 1) ** 2 // 4):
@@ -316,20 +314,11 @@ def diagonal_sum(frame: int) -> int:
     return total
 
 
-def diagonal_power_law(frame: int) -> bool:
-    """Check diagonal_sum(frame) == 2**(frame-1).  The source states it as
-    a conjecture; it follows from the binomial rows: frame d holds
-    C(d-1, a) partitions in each a x (d-1-a) interior box (see
-    :func:`binomial_row`), and these sum to 2**(d-1)."""
-    return diagonal_sum(frame) == 2 ** (frame - 1)
-
-
 def binomial_row(size: int) -> tuple[int, ...]:
     """For hook frame ``size``, the partition counts by largest part k
     (largest exactly k, exactly size-k+1 parts, any total).  These come out
     as the binomial coefficients C(size-1, k-1)."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    require_ints("size", size, low=1)
     return binomial_table(size).row(size)
 
 

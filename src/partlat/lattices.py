@@ -45,7 +45,7 @@ from operator import eq, lt
 from typing import Iterator, NoReturn
 
 from . import counting, oracle
-from .partitions import label_of
+from .partitions import label_of, require_ints
 
 # Refuse to materialize graphs whose node set, edge set or labels are
 # unreasonable; a label has a character or more per slot or bit.
@@ -64,13 +64,15 @@ class OrbitLattice:
 
     ``low`` and ``high`` are ``array('I')`` columns of node pairs i < j in
     strictly increasing order, which the constructor checks (see
-    :func:`_check_columns`); the labels are taken as distinct.  ``edges``
-    is a read-only sequence of the label pairs (``nodes[i]``,
-    ``nodes[j]``), in the same order.
+    :func:`_check_columns`), and it refuses repeated labels.  ``edges`` is
+    a read-only sequence of the label pairs (``nodes[i]``, ``nodes[j]``),
+    in the same order.
     """
 
     def __init__(self, variant: str, nodes: Sequence[str], low: array, high: array):
         _check_columns(len(nodes), low, high)
+        if len(set(nodes)) != len(nodes):
+            raise ValueError("node labels are not distinct")
         self.variant = variant
         self.nodes = tuple(nodes)
         # A list's __getitem__ maps indices to labels faster than a tuple's.
@@ -291,10 +293,8 @@ def _partition_nodes(total: int, slots: int) -> dict[bytes, str]:
     (k, 0), (k-1, 1), ... in a path, and merges join each pair with y > 0
     to (k, 0).  One kernel sweep gives every count: columns[n][j] is
     p_atmost(j, n)."""
-    if total < 0:
-        raise ValueError("total must be >= 0")
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
+    require_ints("total", total, low=0)
+    require_ints("slots", slots, low=1)
     if total > oracle.TOTAL_CAP:
         raise ValueError(f"total {total} exceeds the enumeration cap {oracle.TOTAL_CAP}")
     columns = list(counting._box_columns(total, min(slots, total), total))
@@ -419,8 +419,8 @@ def _weight_masks(bits: int, ones: int, swaps: int):
     """The ``bits``-bit masks with ``ones`` ones, checked against the caps
     for edges that swap ``swaps`` ones with as many zeros.  The node count
     is refused from the parameters, so a huge one is never computed."""
-    if bits < 1 or not 0 <= ones <= bits:
-        raise ValueError("need bits >= 1 and 0 <= ones <= bits")
+    require_ints("bits", bits, low=1)
+    require_ints("ones", ones, low=0, high=bits)
     if _comb_exceeds(bits, ones, NODE_CAP):
         _refuse("node", NODE_CAP, f"C({bits}, {ones})")
     nodes = math.comb(bits, ones)
@@ -438,8 +438,7 @@ def build_subset_double_swap(bits: int, ones: int) -> OrbitLattice:
 
 
 def build_hypercube(dim: int) -> OrbitLattice:
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    require_ints("dim", dim, low=1)
     if dim >= NODE_CAP.bit_length():  # exactly when 2^dim > NODE_CAP
         _refuse("node", NODE_CAP, f"2^{dim}")
     _check_size(2 ** dim, dim * 2 ** (dim - 1))
@@ -497,8 +496,7 @@ def distance(lattice: OrbitLattice, a: str, b: str) -> int | float:
 def column_edge_counts(total: int) -> tuple[int, ...]:
     """Unit-exchange edges of the full lattice of ``total`` that join an
     orbit with n nonzero parts to one with n + 1, for n = 1..total-1."""
-    if total < 2:
-        raise ValueError("total must be >= 2")
+    require_ints("total", total, low=2)
     counts = [0] * (total - 1)
     for parts in _partition_nodes(total, total):
         # Each such edge is one levelling move into a zero slot.

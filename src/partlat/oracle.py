@@ -67,20 +67,17 @@ class ConstraintRecord:
     hook_frame: int | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name != "parity" and (v is not None or f.name == "total"):
-                require_ints(f.name, v)
-        if self.total < 0:
-            raise ValueError("total must be >= 0")
+        bounds = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "parity"]
+        bounds = [(name, v) for name, v in bounds if v is not None or name == "total"]
+        for name, v in bounds:
+            require_ints(name, v)
+        require_ints("total", self.total, low=0)
         if self.max_parts is not None and self.exact_parts is not None:
             raise ValueError("max_parts and exact_parts are mutually exclusive")
         if self.max_part is not None and self.exact_max_part is not None:
             raise ValueError("max_part and exact_max_part are mutually exclusive")
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, int) and v < 0:
-                raise ValueError(f"{f.name} must be >= 0")
+        for name, v in bounds:
+            require_ints(name, v, low=0)
         if self.parity not in PARITY_CHOICES:
             raise ValueError(f"unknown parity filter {self.parity!r}")
 

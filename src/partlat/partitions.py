@@ -25,12 +25,18 @@ class FrameError(ValueError):
 _INT = frozenset((int,))
 
 
-def require_ints(name: str, *values: object) -> None:
+def require_ints(name: str, *values: object, low: int | None = None,
+                 high: int | None = None) -> None:
     """Refuse unless every value is a plain ``int``: a bool, a float or an
     int subclass raises ``ValueError("<name> must be an integer")``.  One
-    C-level pass over the value types."""
+    C-level pass over the value types.  Then a value below ``low`` raises
+    "<name> must be >= <low>", or, when ``high`` is given, a value outside
+    low..high raises "<name> must be between <low> and <high>"."""
     if not _INT.issuperset(map(type, values)):
         raise ValueError(f"{name} must be an integer")
+    if low is not None and values and (min(values) < low or high is not None and max(values) > high):
+        raise ValueError(f"{name} must be >= {low}" if high is None
+                         else f"{name} must be between {low} and {high}")
 
 
 def canonicalize(values: Iterable[int], padded_length: int | None = None) -> "Partition":

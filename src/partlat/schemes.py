@@ -9,6 +9,7 @@ lower unitriangular, hence exactly invertible.
 from __future__ import annotations
 
 from .counting import _frame_interiors
+from .partitions import require_ints
 from .tables import CountTable
 
 
@@ -18,8 +19,7 @@ def build_scheme(total: int) -> CountTable:
 
     Largest part a + 1 and b + 1 parts leave total - 1 - a - b units for the
     interior a x b box: the last term of each truncated interior sweep."""
-    if total < 1:
-        raise ValueError("total must be >= 1")
+    require_ints("total", total, low=1)
     cells = [[0] * total for _ in range(total)]
     for a, b, column in _frame_interiors(total):
         cells[a][b] = column[-1]

@@ -19,10 +19,7 @@ from itertools import accumulate
 from operator import add, sub
 from typing import Sequence
 
-
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValueError("order must be >= 0")
+from .partitions import require_ints
 
 
 def _times_binomial(c: list[int], k: int, sign: int = -1) -> None:
@@ -61,7 +58,7 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        _check_order(order)
+        require_ints("order", order, low=0)
         return cls((1,) + (0,) * order)
 
     @property
@@ -124,7 +121,7 @@ class TruncatedSeries:
 def _alternating_product(order: int, sign: int) -> TruncatedSeries:
     """(1 + sign*t)(1 + sign*t^2)...(1 + sign*t^order), truncated, expanded
     factor by factor in one list: O(order^2) element operations."""
-    _check_order(order)
+    require_ints("order", order, low=0)
     c = [1] + [0] * order
     for k in range(1, order + 1):
         _times_binomial(c, k, sign)
@@ -143,8 +140,7 @@ def euler_product(order: int) -> TruncatedSeries:
 
 def euler_coefficient(n: int) -> int:
     """Coefficient of t^n in the Euler product (values in {-1, 0, 1})."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    require_ints("n", n, low=0)
     return euler_product(n)[n]
 
 
@@ -159,15 +155,11 @@ def partition_series(order: int) -> TruncatedSeries:
     return euler_product(order).invert()
 
 
-def distinct_series(order: int, signed: bool = False) -> TruncatedSeries:
-    """Product over parts k of (1 +/- t^k).
-
-    Unsigned: coefficient of t^M counts distinct-part partitions of M.
-    Signed: equals the Euler product; the coefficient is the even-minus-odd
-    part-count difference of those partitions.
-    """
-    if signed:
-        return euler_product(order)
+def distinct_series(order: int) -> TruncatedSeries:
+    """Product over parts k of (1 + t^k): the coefficient of t^M counts
+    distinct-part partitions of M.  With signs, (1 - t^k), the product is
+    :func:`euler_product`, whose coefficient is the even-minus-odd
+    part-count difference of those partitions."""
     return _alternating_product(order, 1)
 
 
@@ -223,8 +215,9 @@ def capped_product(caps: Sequence[tuple[int, int | None]], order: int) -> Trunca
     factor is (1 - t^((c+1)k)) / (1 - t^k), expanded in place: one
     multiplication, skipped when (c+1)k is past the order, and one division.
     """
+    require_ints("order", order, low=0)
     seen = set()
-    terms = [1] + [0] * order  # [1] for a negative order, refused below
+    terms = [1] + [0] * order
     for k, c in caps:
         if k < 1:
             raise ValueError(f"part value {k} must be >= 1")
@@ -237,5 +230,4 @@ def capped_product(caps: Sequence[tuple[int, int | None]], order: int) -> Trunca
             if c is not None:
                 _times_binomial(terms, (c + 1) * k)
             _divide_one_minus(terms, k)
-    _check_order(order)
     return TruncatedSeries(tuple(terms))

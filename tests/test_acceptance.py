@@ -208,7 +208,7 @@ def test_c10_layer_table_diagonals_binomial():
     for d in range(1, 15):
         assert counting.diagonal_sum(d) == 2 ** (d - 1)
     assert sum(table.cell(6 + k, k) for k in range(1, 10)) == 63
-    assert counting.hook_layer_count(7, 9) == 1  # completed by (4,4,4,4)
+    assert counting.layer_count(16, 10) == 1  # completed by (4,4,4,4)
     binom = counting.binomial_table(5)
     assert binom.row_sums == (1, 2, 4, 8, 16)
     for r in range(1, 6):

@@ -307,10 +307,10 @@ class TestLayers:
         in_table = sum(t.cell(7 + k - 1, k) for k in range(1, 10))
         assert in_table == 63
         assert counting.diagonal_sum(7) == 64
-        assert counting.hook_layer_count(7, 9) == 1  # that last partition
+        assert counting.layer_count(16, 10) == 1  # that last partition: frame 7, interior 9
 
     def test_power_law_checker(self):
-        assert all(counting.diagonal_power_law(d) for d in range(1, 15))
+        assert all(counting.diagonal_sum(d) == 2 ** (d - 1) for d in range(1, 31))
 
 
 # Records at the oracle's cap that the oracle's pruning walks in well under a
@@ -318,7 +318,7 @@ class TestLayers:
 AT_THE_CAP = (
     [("layer", k, lambda k: counting.layer_count(80, k)) for k in range(1, 7)]
     + [("exact_max_part", a, lambda a: counting.p_exact(80, a)) for a in range(30, 81, 5)]
-    + [("hook_frame", h, lambda h: counting.hook_layer_count(h, 80 - h)) for h in range(1, 21)]
+    + [("hook_frame", h, lambda h: counting.layer_count(80, 81 - h)) for h in range(1, 21)]
     + [("unit_count", j, lambda j: counting.unit_diff_cell(80, j)) for j in range(60, 81)]
 )
 
@@ -521,7 +521,7 @@ class TestKernelAgainstRecursiveReferences:
                 assert table.cell(n, k) == want
         for frame in range(1, 16):
             for t in range(30):
-                assert counting.hook_layer_count(frame, t) == ref_hook_layer(frame, t)
+                assert counting.layer_count(frame + t, t + 1) == ref_hook_layer(frame, t)
 
 
 class TestCorrectedRecurrencesOnTheKernel:

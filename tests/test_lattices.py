@@ -349,6 +349,11 @@ class TestPublicConstructor:
                                     array("I", (1, 3, 2, 3)))
         assert lat.edges == (("a", "b"), ("a", "d"), ("b", "c"), ("c", "d"))
 
+    def test_repeated_labels_refused(self):
+        # Accepted before, this answered neighbors('a') == () although edge a-b exists.
+        with pytest.raises(ValueError, match="^node labels are not distinct$"):
+            lattices.OrbitLattice("g", ("a", "b", "a"), array("I", [0]), array("I", [1]))
+
 
 @pytest.mark.parametrize("build", (
     lambda: build_unit_exchange(9, 5), lambda: build_split_merge(11, 11),

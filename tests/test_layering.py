@@ -116,3 +116,62 @@ def test_reference_scan_skips_only_the_own_def(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "registry.py").write_text('NAMES = ("by_string",)\n')
     assert unreferenced(tmp_path) == {"recursive", "C.method"}
+
+
+# One mechanism refuses arguments: partitions.require_ints.  These raises
+# keep their own text because it carries the value that failed.
+BOUND_TEXTS = ("must be >=", "must be between", "must be an integer")
+OWN_BOUND_MESSAGES = {
+    ("capped_product", "f'part value {k} must be >= 1'"),
+    ("capped_product", "f'cap {c} must be >= 0'"),
+}
+
+
+def raises(node: ast.AST, func: str = ""):
+    """(innermost enclosing function name, raise node) for each raise
+    under ``node``; "" at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            yield func, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from raises(child, inner)
+
+
+def hand_written_bound_checks(root: Path) -> set[tuple[str, str, str]]:
+    """(module, enclosing function, message source) for each ``raise
+    ValueError(...)`` under ``root`` whose message states an integer or a
+    bound, outside ``require_ints`` and the exempt messages."""
+    found = set()
+    for path in sorted(root.glob("*.py")):
+        for func, node in raises(ast.parse(path.read_text())):
+            exc = node.exc
+            if (func != "require_ints" and isinstance(exc, ast.Call) and exc.args
+                    and isinstance(exc.func, ast.Name) and exc.func.id == "ValueError"):
+                text = ast.unparse(exc.args[0])
+                if any(t in text for t in BOUND_TEXTS) and (func, text) not in OWN_BOUND_MESSAGES:
+                    found.add((path.stem, func, text))
+    return found
+
+
+def test_every_argument_bound_goes_through_require_ints():
+    assert hand_written_bound_checks(SOURCE) == set()
+
+
+def test_bound_scan_sees_nested_raises_and_skips_the_helper(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def require_ints(name, *v):\n    raise ValueError(f'{name} must be an integer')\n"
+        "def f(n):\n    if n < 1:\n        raise ValueError('n must be >= 1')\n"
+        "class C:\n    def g(self, x):\n        for _ in x:\n"
+        "            raise ValueError(f'x must be between 0 and {len(x)}')\n"
+        "def capped_product(k):\n    raise ValueError(f'part value {k} must be >= 1')\n"
+        "def other(k):\n    raise ValueError(f'part value {k} must be >= 1')\n"
+        "def h():\n    def inner():\n        raise ValueError('y must be >= 0')\n"
+        "    raise ValueError('unknown variant')\n"
+        "if True:\n    raise ValueError('z must be an integer')\n")
+    assert hand_written_bound_checks(tmp_path) == {
+        ("m", "f", "'n must be >= 1'"),
+        ("m", "inner", "'y must be >= 0'"),
+        ("m", "", "'z must be an integer'"),
+        ("m", "g", "f'x must be between 0 and {len(x)}'"),
+        ("m", "other", "f'part value {k} must be >= 1'"),
+    }

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from partlat import counting, lattices, schemes, series, verify
 from partlat.oracle import ConstraintRecord, enumerate_partitions
 from partlat.partitions import (
     FerrersMatrix,
@@ -102,6 +103,48 @@ class TestIntegerParts:
     def test_helper_passes_plain_ints(self):
         require_ints("x")
         require_ints("x", 0, -3, 10 ** 30)
+        require_ints("x", 1, 5, low=1)
+        require_ints("x", 0, 3, low=0, high=3)
+
+
+# Each entry point whose argument guard is the helper: (id, a call with the
+# argument, its name, the least int it takes, the largest or None).
+# ConstraintRecord's fields have their own tests in test_oracle.py.
+GUARDED = (
+    ("franklin_trapezoids", counting.franklin_trapezoids, "k", 1, None),
+    ("right_hand_neighbor_table", counting.right_hand_neighbor_table, "max_total", 2, None),
+    ("layer_table", counting.layer_table, "max_total", 1, None),
+    ("diagonal_sum", counting.diagonal_sum, "frame", 1, None),
+    ("binomial_row", counting.binomial_row, "size", 1, None),
+    ("build_scheme", schemes.build_scheme, "total", 1, None),
+    ("euler_coefficient", series.euler_coefficient, "n", 0, None),
+    ("TruncatedSeries.one", series.TruncatedSeries.one, "order", 0, None),
+    ("euler_product", series.euler_product, "order", 0, None),
+    ("distinct_series", series.distinct_series, "order", 0, None),
+    ("partition_series", series.partition_series, "order", 0, None),
+    ("capped_product", lambda v: series.capped_product([(1, None)], v), "order", 0, None),
+    ("build_lattice", lambda v: lattices.build_lattice("unit-exchange", total=v), "total", 0, None),
+    ("build_split_merge", lambda v: lattices.build_split_merge(5, v), "slots", 1, None),
+    ("build_subset_swap", lambda v: lattices.build_subset_swap(v, 0), "bits", 1, None),
+    ("build_subset_double_swap", lambda v: lattices.build_subset_double_swap(4, v), "ones", 0, 4),
+    ("build_hypercube", lattices.build_hypercube, "dim", 1, None),
+    ("column_edge_counts", lattices.column_edge_counts, "total", 2, None),
+    ("verify_suite", verify.verify_suite, "max_total", 1, verify.MAX_TOTAL),
+)
+
+
+@pytest.mark.parametrize("value", (2.0, True, "2"), ids=("float", "bool", "str"))
+@pytest.mark.parametrize("call,name,low,high", [g[1:] for g in GUARDED],
+                         ids=[g[0] for g in GUARDED])
+def test_each_guarded_entry_point_refuses_by_name(call, name, low, high, value):
+    # Before the helper held these guards a float or a bool was accepted
+    # (layer_table(True) built a table) or failed inside a kernel with TypeError.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        call(value)
+    message = f"{name} must be >= {low}" if high is None else f"{name} must be between {low} and {high}"
+    for bad in (low - 1,) if high is None else (low - 1, high + 1):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(bad)
 
 
 class TestConjugate:

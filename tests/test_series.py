@@ -1,11 +1,12 @@
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from partlat import counting, series
+from partlat import cli, counting, series
 from partlat.oracle import ConstraintRecord, count
 from partlat.series import TruncatedSeries
 
@@ -93,7 +94,7 @@ class TestNegativeOrder:
         series.euler_product,
         series.partition_series,
         series.distinct_series,
-        lambda order: series.distinct_series(order, signed=True),
+        lambda order: cli.SERIES_KINDS["distinct-signed"].build(SimpleNamespace(order=order)),
         lambda order: series.capped_product([(1, 2), (3, None)], order),
         lambda order: series.capped_product([], order),
         TruncatedSeries.one,
@@ -166,7 +167,10 @@ class TestDistinctSeries:
         assert u[12] == 15
 
     def test_signed_is_euler(self):
-        assert series.distinct_series(20, signed=True) == series.euler_product(20)
+        signed = TruncatedSeries.one(20)
+        for k in range(1, 21):
+            signed = signed * TruncatedSeries((1,) + (0,) * (k - 1) + (-1,) + (0,) * (20 - k))
+        assert signed == series.euler_product(20)
 
     @pytest.mark.parametrize("m", range(1, 31))
     def test_signed_matches_distinct_difference(self, m):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from partlat import verify
+from partlat import lattices, verify
 from partlat.partitions import MultiplicityVector
 
 
@@ -32,6 +32,26 @@ def test_shift_invariance_names_a_wrong_shift(monkeypatch, wrong_base):
     assert detail is not None and detail.startswith("m=")
     result = {r.name: r for r in verify.verify_suite(12).results}["shift-invariance"]
     assert not result.ok and result.detail == detail
+
+
+def two_unit_moves(parts: bytes) -> set[bytes]:
+    """Level two parts by two units: each edge joins padded vectors at
+    squared distance 8, not 2."""
+    out = set()
+    for x in set(parts):
+        for y in set(parts):
+            if x - y >= 4:
+                moved = list(parts)
+                moved[moved.index(x)] -= 2
+                moved[moved.index(y)] += 2
+                out.add(bytes(sorted(moved, reverse=True)))
+    return out
+
+
+def test_unit_exchange_edge_shape_names_a_two_unit_edge(monkeypatch):
+    assert names_failure("unit-exchange-edge-shape") is None
+    monkeypatch.setattr(lattices, "_unit_moves", two_unit_moves)
+    assert names_failure("unit-exchange-edge-shape") == "edge 2200 -- 4000 in lattice of 4"
 
 
 @pytest.mark.parametrize("check", verify.CHECKS, ids=[c.name for c in verify.CHECKS])
