@@ -173,6 +173,7 @@ class Partition:
         Padding zeros count toward the value-0 slot, so the dimension of the
         result equals ``padded_length``.
         """
+        require_ints("base", base)
         ps = self.parts
         low = min(ps) if ps else base
         if low < base:
@@ -181,7 +182,7 @@ class Partition:
         counts = [0] * (top - base + 1)
         for v in ps:
             counts[v - base] += 1
-        return MultiplicityVector(base, tuple(counts))
+        return MultiplicityVector._trusted(base, tuple(counts))
 
     def norm_squared(self) -> int:
         return sum(v * v for v in self._nonzero)
@@ -277,9 +278,17 @@ class MultiplicityVector:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        for c in self.counts:
-            if c < 0:
-                raise ValueError(f"negative count {c}")
+        require_ints("base", self.base)
+        require_ints("counts", *self.counts, low=0)
+
+    @classmethod
+    def _trusted(cls, base: int, counts: tuple[int, ...]) -> "MultiplicityVector":
+        """A vector from an int base and counts already known to be ints
+        >= 0, built without ``__post_init__``'s checks."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "base", base)
+        object.__setattr__(v, "counts", counts)
+        return v
 
     @property
     def dimension(self) -> int:
@@ -292,7 +301,8 @@ class MultiplicityVector:
     def shift(self, s: int) -> "MultiplicityVector":
         """Same count pattern on a scale shifted by s; the weighted sum
         changes by s * dimension."""
-        return MultiplicityVector(self.base + s, self.counts)
+        require_ints("s", s)
+        return MultiplicityVector._trusted(self.base + s, self.counts)
 
 
 def from_multiplicity(v: MultiplicityVector) -> tuple[int, ...]:

@@ -1,18 +1,22 @@
 """CLI tables checked at their cap, each by an identity computed another way.
 
-The oracle stops at total 80, but ``table --max`` runs to 200 and the box to
-100 x 100; these checks read the tables there.
+The oracle stops at total 80, but ``table --max`` runs to 200, the box to
+100 x 100, the matrix tables to ``--size 500`` and ``scheme`` to 400; these
+checks read the tables there.
 """
 
 import math
+import random
 from itertools import accumulate
 
 import pytest
 
-from partlat import counting, series
+from partlat import cli, counting, intmatrix, schemes, series
 
 CAP = 200
 BOX_EDGE = BOX_DIM = 100
+SIZE_CAP = cli.SIZE.cap
+SCHEME_CAP = cli.SCHEME_TOTAL.cap
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +90,55 @@ def test_box_columns_are_symmetric_unimodal_and_sum_to_a_binomial():
         half = inside[:top // 2 + 1]
         assert list(accumulate(half, max)) == list(half), e
         assert sum(inside) == math.comb(e + BOX_DIM, e), e
+
+
+def dot(row, vector):
+    return sum(x * y for x, y in zip(row, vector))
+
+
+def freivalds_identity(a, b, seed, rounds=2):
+    """Whether a·b is the identity, by a seeded Freivalds test: a·(b·r) = r
+    for random integer vectors r, with plain dot products.  A product that
+    is not the identity passes one round with probability at most 2^-32."""
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        r = [rng.randrange(-2 ** 31, 2 ** 31) for _ in range(len(b[0]))]
+        br = [dot(row, r) for row in b]
+        if [dot(row, br) for row in a] != r:
+            return False
+    return True
+
+
+def test_freivalds_catches_one_wrong_entry():
+    a = intmatrix.exact_parts_matrix(40)
+    x = [list(row) for row in intmatrix.invert_unitriangular(a).entries]
+    assert freivalds_identity(a.entries, x, seed=0)
+    x[31][7] += 1
+    assert not freivalds_identity(a.entries, x, seed=0)
+
+
+@pytest.mark.parametrize("matrix,inverse", (
+    (intmatrix.exact_parts_matrix, intmatrix.inverse_exact_parts_matrix),
+    (intmatrix.unit_diff_matrix, intmatrix.inverse_unit_diff_matrix),
+    (intmatrix.partition_matrix, intmatrix.euler_matrix),
+), ids=("inverse-exact", "inverse-unit-diff", "euler"))
+def test_matrix_tables_invert_at_the_cap(matrix, inverse):
+    a, x = matrix(SIZE_CAP).entries, inverse(SIZE_CAP).entries
+    assert len(a) == len(x) == SIZE_CAP
+    assert freivalds_identity(a, x, seed=SIZE_CAP)
+    assert freivalds_identity(x, a, seed=SIZE_CAP + 1)
+
+
+def test_scheme_and_its_inverse_at_the_cap():
+    """The ``scheme`` table is symmetric under conjugation and counts every
+    partition once, and ``scheme --inverse`` inverts it."""
+    numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    table = schemes.build_scheme(SCHEME_CAP)
+    assert table.total == int(numbers.partition(SCHEME_CAP))
+    cells = table.cells
+    top = SCHEME_CAP - 1
+    assert all(cells[top - a][b] == cells[top - b][a] for a in range(SCHEME_CAP)
+               for b in range(a))
+    inverse = intmatrix.invert_unitriangular(intmatrix.IntMatrix(cells, intmatrix.LOWER))
+    assert freivalds_identity(cells, inverse.entries, seed=SCHEME_CAP)
+    assert freivalds_identity(inverse.entries, cells, seed=SCHEME_CAP + 1)

@@ -63,6 +63,21 @@ def first_shape_fault(rows, tag):
     return None
 
 
+class TestEntryTypes:
+    @pytest.mark.parametrize("bad", (1.5, 2.0, True, "1", None))
+    def test_refused_by_name(self, bad):
+        with pytest.raises(ValueError, match="^entries must be an integer$"):
+            IntMatrix(((1, 0), (bad, 1)), LOWER)
+        with pytest.raises(ValueError, match="^entries must be an integer$"):
+            toeplitz((1, bad))
+        with pytest.raises(ValueError, match="^entries must be an integer$"):
+            intmatrix.from_cell(2, lambda i, j: bad)
+
+    def test_checked_before_the_shape(self):
+        with pytest.raises(ValueError, match="^entries must be an integer$"):
+            IntMatrix(((1.5, 2), (0, 1)), LOWER)
+
+
 class TestShapeValidation:
     def test_tag_checked(self):
         with pytest.raises(ValueError):
@@ -145,7 +160,11 @@ class TestMultiplyInvert:
 
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.data())
     def test_multiply_matches_schoolbook(self, rows, inner, cols, data):
-        cell = st.one_of(st.just(0), st.integers(-9, 9))
+        # Cells at the edges of a 64-bit slot and past 2^127 make the
+        # product's slots grow past one and two words.
+        cell = st.one_of(st.just(0), st.integers(-9, 9),
+                         st.sampled_from((2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63)),
+                         st.integers(2 ** 127, 2 ** 130), st.integers(-2 ** 130, -2 ** 127))
         a = data.draw(st.lists(st.lists(cell, min_size=inner, max_size=inner),
                                min_size=rows, max_size=rows))
         b = data.draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
@@ -153,6 +172,18 @@ class TestMultiplyInvert:
         want = tuple(tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
                      for i in range(rows))
         assert multiply(from_rows(a), from_rows(b)).entries == want
+
+    @pytest.mark.parametrize("x", (2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1, 2 ** 127 - 1,
+                                   2 ** 127, -2 ** 127, 2 ** 191, -2 ** 191 - 5))
+    def test_entries_at_the_slot_edges(self, x):
+        assert multiply(from_rows([[1]]), from_rows([[x, -x, 0]])).entries == ((x, -x, 0),)
+        assert multiply(from_rows([[x, -1], [1, 1]]), from_rows([[1], [x]])).entries == ((0,), (x + 1,))
+        # A zero column of the left factor still leaves its row of B to pack.
+        assert multiply(from_rows([[0, 1]]), from_rows([[x], [1]])).entries == ((1,),)
+
+    def test_empty_products(self):
+        assert multiply(from_rows([[1, 2]]), IntMatrix(((), ()))).entries == ((),)
+        assert multiply(IntMatrix(()), IntMatrix(())).entries == ()
 
     def test_tag_propagation(self):
         low = exact_parts_matrix(4)
@@ -239,7 +270,7 @@ class TestTableInverses:
 
 def substitution_inverse(a):
     """Row-by-row forward substitution with three nested Python loops: the
-    reference for the slice kernel of ``invert_unitriangular``."""
+    reference for the packed-row kernel of ``invert_unitriangular``."""
     if a.shape_tag == UPPER:
         return substitution_inverse(a.transpose()).transpose()
     n = a.rows
@@ -255,6 +286,8 @@ def substitution_inverse(a):
 
 
 class TestSliceInverse:
+    """The packed-row kernel against the three-loop reference."""
+
     @pytest.mark.parametrize("n", range(1, 41))
     @pytest.mark.parametrize("tag", (LOWER, UPPER))
     def test_matches_forward_substitution(self, n, tag):
@@ -266,6 +299,29 @@ class TestSliceInverse:
             a = a.transpose()
         x = invert_unitriangular(a)
         assert x.shape_tag == tag
+        assert x.entries == substitution_inverse(a).entries
+        assert multiply(a, x).entries == identity(n).entries
+
+    @pytest.mark.parametrize("step", (40, 63, 64, 65, 200))
+    def test_slots_grow_partway(self, step):
+        """The subdiagonal -2^step makes entry (i, j) of the inverse
+        2^(step·(i - j)), so the bound outgrows the slots row after row and
+        the earlier rows are packed again at each new width."""
+        n = 12
+        a = from_rows([[1 if i == j else -2 ** step if j == i - 1 else 0 for j in range(n)]
+                       for i in range(n)], LOWER)
+        x = invert_unitriangular(a)
+        assert x.entries == substitution_inverse(a).entries
+        assert x[n - 1][0] == 2 ** (step * (n - 1)) > 2 ** 127
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dense_wide_coefficients(self, seed):
+        rng = random.Random(seed)
+        n = 15
+        a = from_rows([[1 if i == j else rng.randint(-2 ** 70, 2 ** 70) if j < i else 0
+                        for j in range(n)] for i in range(n)], LOWER)
+        x = invert_unitriangular(a)
+        assert max(map(abs, x[n - 1])) > 2 ** 127
         assert x.entries == substitution_inverse(a).entries
         assert multiply(a, x).entries == identity(n).entries
 

@@ -130,6 +130,7 @@ GUARDED = (
     ("build_hypercube", lattices.build_hypercube, "dim", 1, None),
     ("column_edge_counts", lattices.column_edge_counts, "total", 2, None),
     ("verify_suite", verify.verify_suite, "max_total", 1, verify.MAX_TOTAL),
+    ("MultiplicityVector", lambda v: MultiplicityVector(0, (1, v)), "counts", 0, None),
 )
 
 
@@ -285,6 +286,15 @@ class TestMultiplicity:
         v = MultiplicityVector(1, (5,))
         assert from_multiplicity(v) == (1, 1, 1, 1, 1)
         assert v.weighted_sum == 5
+
+    @pytest.mark.parametrize("bad", (0.5, True, "0"))
+    def test_base_and_shift_must_be_integers(self, bad):
+        with pytest.raises(ValueError, match="^base must be an integer$"):
+            MultiplicityVector(bad, (1,))
+        with pytest.raises(ValueError, match="^base must be an integer$"):
+            Partition((2, 1)).to_multiplicity(bad)
+        with pytest.raises(ValueError, match="^s must be an integer$"):
+            MultiplicityVector(0, (1,)).shift(bad)
 
     def test_part_below_base_rejected(self):
         with pytest.raises(ValueError):
