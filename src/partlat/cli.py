@@ -167,11 +167,13 @@ def _cmd_count(args, out) -> int:
 
 def _cmd_scheme(args, out) -> int:
     _check_ranges(args, COMMAND_RANGES["scheme"])
-    table = schemes.build_scheme(args.total)
+    total = args.total
     if args.inverse:
-        inverse = intmatrix.invert_unitriangular(intmatrix.IntMatrix(table.cells, intmatrix.LOWER))
-        table = CountTable("scheme-inverse", "m1", "n", table.rows, table.cols, inverse.entries,
+        table = CountTable("scheme-inverse", "m1", "n", tuple(range(total, 0, -1)),
+                           tuple(range(1, total + 1)), intmatrix.scheme_inverse(total).entries,
                            show_sums=False)
+    else:
+        table = schemes.build_scheme(total)
     out.write(render(table, args.format))
     return 0
 
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--total", type=int,
                    help=f"partition variants: the partitioned total (0..{oracle.TOTAL_CAP})")
     g.add_argument("--slots", type=int, help="partition variants: vector dimension "
-                   f"(default: total; at most {lattices.WIDTH_CAP})")
+                   f"(default: total, or 1 for total 0; at most {lattices.WIDTH_CAP})")
     g.add_argument("--bits", type=int,
                    help=f"subset variants: word length (at most {lattices.WIDTH_CAP})")
     g.add_argument("--ones", type=int, help="subset variants: number of ones")

@@ -56,6 +56,7 @@ def _partition_numbers(order: int) -> list[int]:
 
 def p(total: int) -> int:
     """Unrestricted partition count, by the pentagonal-number recurrence."""
+    require_ints("total", total)
     return _partition_numbers(total)[total] if total >= 0 else 0
 
 
@@ -63,6 +64,9 @@ def p_box(max_part: int, max_parts: int, total: int) -> int:
     """Partitions of ``total`` with parts <= max_part and at most
     ``max_parts`` of them (orbits inside a box); none if a bound is
     negative."""
+    require_ints("max_part", max_part)
+    require_ints("max_parts", max_parts)
+    require_ints("total", total)
     if min(max_part, max_parts, total) < 0:
         return 0
     # Bounds above total change nothing; G(a, b) = G(b, a): sweep the short side.
@@ -78,12 +82,16 @@ def p_atmost(total: int, parts: int) -> int:
     Stabilizes at p(total) once ``parts >= total``: adding more zero slots
     changes nothing.
     """
+    require_ints("total", total)
+    require_ints("parts", parts)
     return p_box(total, parts, total)
 
 
 def p_exact(total: int, parts: int) -> int:
     """Partitions of ``total`` into exactly ``parts`` positive parts: strip
     one unit from each part to get at most ``parts`` parts of the rest."""
+    require_ints("total", total)
+    require_ints("parts", parts)
     return p_atmost(total - parts, parts)
 
 
@@ -101,6 +109,9 @@ def exact_frame(largest: int, parts: int, total: int) -> int:
     The hook (first row plus first column) eats largest+parts-1 units; the
     rest is free inside the (largest-1) x (parts-1) box.
     """
+    require_ints("largest", largest)
+    require_ints("parts", parts)
+    require_ints("total", total)
     if largest <= 0 or parts <= 0:
         return 1 if largest == 0 and parts == 0 and total == 0 else 0
     return p_box(largest - 1, parts - 1, total - largest - parts + 1)
@@ -113,6 +124,9 @@ def p_min_part(total: int, parts: int, min_part: int) -> int:
     partitions into exactly ``parts`` positive parts, for any integer
     ``min_part`` (negative bases included).
     """
+    require_ints("total", total)
+    require_ints("parts", parts)
+    require_ints("min_part", min_part)
     if parts < 0:
         return 0
     return p_exact(total - parts * (min_part - 1), parts)
@@ -122,6 +136,7 @@ def p_min_part(total: int, parts: int, min_part: int) -> int:
 
 def odd_even_mixed(total: int) -> tuple[int, int, int, int]:
     """(all-odd, all-even, mixed, total) partition counts."""
+    require_ints("total", total)
     if total < 1:
         return (0, 1, 0, 1) if total == 0 else (0, 0, 0, 0)
     return next(_odd_even_mixed_rows(total, (total,)))[-4:]
@@ -158,6 +173,7 @@ def distinct_exact(total: int, parts: int) -> int:
 def distinct_row(total: int) -> tuple[tuple[int, ...], int]:
     """Distinct-part counts of ``total`` by part count, and the signed
     difference (#odd part counts) - (#even part counts)."""
+    require_ints("total", total)
     if total < 1:
         return (), 0
     row = next(_distinct_rows(total, (total,)))

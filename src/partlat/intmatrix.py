@@ -26,48 +26,23 @@ from typing import Callable, Sequence
 from . import counting, schemes, series
 from .partitions import require_ints
 
-GENERAL = "general"
-LOWER = "lower_unitriangular"
-UPPER = "upper_unitriangular"
-
 
 @dataclass(frozen=True)
 class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
-    shape_tag: str = GENERAL
 
     def __post_init__(self):
         require_ints("entries", *chain.from_iterable(self.entries))
-        self._check_shape()
+        if len(set(map(len, self.entries))) > 1:
+            raise ValueError("ragged matrix")
 
     @classmethod
-    def _trusted(cls, entries: tuple[tuple[int, ...], ...], shape_tag: str) -> "IntMatrix":
-        """A matrix whose entries are already known to be ints (a kernel's
-        output or a counting table's cells), built without the type pass.
-        The shape tag is still checked."""
+    def _trusted(cls, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """A matrix whose rows are already known to be ints of one length
+        (a kernel's output or a counting table's cells), built unchecked."""
         m = object.__new__(cls)
         object.__setattr__(m, "entries", entries)
-        object.__setattr__(m, "shape_tag", shape_tag)
-        m._check_shape()
         return m
-
-    def _check_shape(self):
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != len(self.entries[0]):
-                raise ValueError("ragged matrix")
-        if self.shape_tag not in (GENERAL, LOWER, UPPER):
-            raise ValueError(f"unknown shape tag {self.shape_tag!r}")
-        if self.shape_tag in (LOWER, UPPER):
-            if not self.entries or len(self.entries[0]) != n:
-                raise ValueError("unitriangular matrices must be square")
-            lower = self.shape_tag == LOWER
-            for i, row in enumerate(self.entries):
-                if row[i] != 1:
-                    raise ValueError(f"diagonal entry at {i} is not 1")
-                if any(row[i + 1:] if lower else row[:i]):
-                    j = next(j for j in (range(i + 1, n) if lower else range(i)) if row[j])
-                    raise ValueError(f"entry ({i},{j}) breaks {self.shape_tag}")
 
     @property
     def rows(self) -> int:
@@ -80,20 +55,15 @@ class IntMatrix:
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return multiply(self, other)
-
     def transpose(self) -> "IntMatrix":
-        tag = {LOWER: UPPER, UPPER: LOWER}.get(self.shape_tag, GENERAL)
-        return IntMatrix._trusted(tuple(zip(*self.entries)), tag)
+        return IntMatrix._trusted(tuple(zip(*self.entries)))
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
 
 def identity(n: int) -> IntMatrix:
-    return IntMatrix._trusted(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-                              LOWER if n else GENERAL)
+    return IntMatrix._trusted(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
 # -- the packed-row kernel -----------------------------------------------------
@@ -157,14 +127,17 @@ def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
                 default=0)
     slots = _Slots(b.cols, _slot_width(bound))
     packed = [slots.pack(row) for row in b.entries]
-    grid = tuple(slots.unpack(sum(map(mul, row, packed))) for row in a.entries)
-    tag = a.shape_tag if a.shape_tag == b.shape_tag and a.shape_tag != GENERAL else GENERAL
-    return IntMatrix._trusted(grid, tag)
+    return IntMatrix._trusted(tuple(slots.unpack(sum(map(mul, row, packed))) for row in a.entries))
+
+
+def _lower_unitriangular(entries: tuple[tuple[int, ...], ...]) -> bool:
+    """Ones on the diagonal and zeros above it, for a square matrix."""
+    return all(row[i] == 1 and not any(row[i + 1:]) for i, row in enumerate(entries))
 
 
 def invert_unitriangular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unitriangular matrix; rejects anything that is not
-    tagged unitriangular.
+    """Exact inverse of a lower or upper unitriangular matrix, read off its
+    entries; any other matrix is refused.
 
     Row i of the lower inverse X is packed as 2^(W·i) − sum_{k<i} A[i][k]·P_k
     from the packed rows P_k before it, then read back.  Every entry of
@@ -172,16 +145,22 @@ def invert_unitriangular(a: IntMatrix) -> IntMatrix:
     read off the rows already decoded; when that bound outgrows the slots,
     W grows to the next fitting multiple of 64 and the earlier rows are
     packed again."""
-    if a.shape_tag == UPPER:
-        return invert_unitriangular(a.transpose()).transpose()
-    if a.shape_tag != LOWER:
-        raise ValueError("only unitriangular matrices are invertible here")
-    n = a.rows
+    if a.rows == a.cols:
+        if _lower_unitriangular(a.entries):
+            return _invert_lower(a.entries)
+        transposed = a.transpose().entries
+        if _lower_unitriangular(transposed):
+            return _invert_lower(transposed).transpose()
+    raise ValueError("only unitriangular matrices are invertible here")
+
+
+def _invert_lower(entries: tuple[tuple[int, ...], ...]) -> IntMatrix:
+    n = len(entries)
     width, slots = 0, None
     inv: list[tuple[int, ...]] = []
     peaks: list[int] = []
     packed: list[int] = []
-    for i, row in enumerate(a.entries):
+    for i, row in enumerate(entries):
         bound = 1 + sum(map(mul, map(abs, row), peaks))
         if bound.bit_length() >= width:
             width = _slot_width(bound)
@@ -192,7 +171,7 @@ def invert_unitriangular(a: IntMatrix) -> IntMatrix:
         inv.append(x)
         peaks.append(_peak(x))
         packed.append(p)
-    return IntMatrix._trusted(tuple(inv), LOWER)
+    return IntMatrix._trusted(tuple(inv))
 
 
 def from_cell(n: int, cell: Callable[[int, int], int]) -> IntMatrix:
@@ -203,37 +182,41 @@ def from_cell(n: int, cell: Callable[[int, int], int]) -> IntMatrix:
 
 def toeplitz(column: Sequence[int]) -> IntMatrix:
     """Lower Toeplitz matrix with entry column[i - j] on and below the
-    diagonal; column[0] must be 1.  Multiplying two such matrices multiplies
-    their columns as truncated power series, so the inverse of one is the
-    Toeplitz matrix of the inverse series."""
+    diagonal.  Multiplying two such matrices multiplies their columns as
+    truncated power series, so the inverse of one is the Toeplitz matrix of
+    the inverse series."""
     c = tuple(column)
     require_ints("entries", *c)
     n = len(c)
-    return IntMatrix._trusted(tuple(c[i::-1] + (0,) * (n - 1 - i) for i in range(n)), LOWER)
+    return IntMatrix._trusted(tuple(c[i::-1] + (0,) * (n - 1 - i) for i in range(n)))
 
 
 def summation_matrix(n: int) -> IntMatrix:
     """All-ones lower triangular matrix, the Toeplitz matrix of 1/(1 - t):
     right-multiplying by its transpose turns a row into its running sums."""
+    require_ints("n", n, low=1)
     return toeplitz((1,) * n)
 
 
 def summation_inverse(n: int) -> IntMatrix:
     """Bidiagonal inverse of the summation matrix (1 on the diagonal, -1
     below it), the Toeplitz matrix of 1 - t."""
+    require_ints("n", n, low=1)
     return toeplitz(((1, -1) + (0,) * n)[:n])
 
 
 def partition_matrix(n: int) -> IntMatrix:
     """Lower Toeplitz matrix with entry p(i - j): every column repeats the
     partition counts shifted one row down."""
+    require_ints("n", n, low=1)
     return toeplitz(counting._partition_numbers(n - 1))
 
 
 def euler_matrix(n: int) -> IntMatrix:
     """Lower Toeplitz matrix of Euler-product coefficients e(i - j); the
     exact inverse of :func:`partition_matrix`."""
-    return toeplitz(series.euler_product(max(n - 1, 0)).coefficients[:n])
+    require_ints("n", n, low=1)
+    return toeplitz(series.euler_product(n - 1).coefficients)
 
 
 # -- the counting tables as matrices and their inverses ---------------------
@@ -241,13 +224,15 @@ def euler_matrix(n: int) -> IntMatrix:
 def exact_parts_matrix(n: int) -> IntMatrix:
     """Partitions-into-exactly-n-parts table as a lower unitriangular matrix
     (rows m = 1..n, columns part counts 1..n)."""
-    return IntMatrix._trusted(tuple(row[1:] for row in counting.exact_table(n).cells[1:]), LOWER)
+    require_ints("n", n, low=1)
+    return IntMatrix._trusted(tuple(row[1:] for row in counting.exact_table(n).cells[1:]))
 
 
 def unit_diff_matrix(n: int) -> IntMatrix:
     """Unit-part difference table as a lower unitriangular matrix (rows and
-    columns 0..n-1)."""
-    return IntMatrix._trusted(counting.unit_diff_table(n - 1).cells, LOWER)
+    columns 0..n-1): the Toeplitz matrix of p(m) - p(m - 1)."""
+    require_ints("n", n, low=1)
+    return toeplitz(counting.unit_diff_column(n - 1))
 
 
 def inverse_exact_parts_matrix(n: int) -> IntMatrix:
@@ -260,8 +245,9 @@ def inverse_unit_diff_matrix(n: int) -> IntMatrix:
 
     The table is Toeplitz with column p(m) - p(m - 1), so its inverse is
     the Toeplitz matrix of the inverse series."""
-    column = series.TruncatedSeries(counting.unit_diff_column(max(n - 1, 0)))
-    return toeplitz(column.invert().coefficients[:n])
+    require_ints("n", n, low=1)
+    column = series.TruncatedSeries(counting.unit_diff_column(n - 1))
+    return toeplitz(column.invert().coefficients)
 
 
 # -- partition schemes -------------------------------------------------------
@@ -271,7 +257,7 @@ def scheme_matrix(total: int) -> IntMatrix:
     part total - i, column j holds part count j + 1.  Unit diagonal, zeros
     above: the only partition with largest part total - i and i + 1 parts is
     the hook (total - i, 1, ..., 1)."""
-    return IntMatrix._trusted(schemes.build_scheme(total).cells, LOWER)
+    return IntMatrix._trusted(schemes.build_scheme(total).cells)
 
 
 def scheme_inverse(total: int) -> IntMatrix:

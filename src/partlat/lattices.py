@@ -457,7 +457,7 @@ VARIANTS = {
 
 def build_lattice(variant: str, **params) -> OrbitLattice:
     """Dispatch by variant name; see the module docstring for parameters.
-    ``slots`` is optional and defaults to ``total``."""
+    ``slots`` is optional and defaults to ``total``, or 1 when the total is 0."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown lattice variant {variant!r}; choose one of {tuple(VARIANTS)}")
     builder, names = VARIANTS[variant]
@@ -465,7 +465,7 @@ def build_lattice(variant: str, **params) -> OrbitLattice:
     if missing:
         raise ValueError(f"lattice variant {variant} requires {', '.join(missing)}")
     if params.get("slots") is None:
-        params["slots"] = params.get("total")
+        params["slots"] = params.get("total") or 1
     return builder(*(params[name] for name in names))
 
 

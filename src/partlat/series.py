@@ -53,6 +53,7 @@ class TruncatedSeries:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
+        require_ints("coefficients", *self.coefficients)
         if not self.coefficients:
             raise ValueError("a series carries at least the constant term")
 
@@ -67,14 +68,6 @@ class TruncatedSeries:
 
     def __getitem__(self, n: int) -> int:
         return self.coefficients[n]
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        T = min(self.order, other.order)
-        return TruncatedSeries(tuple(self[i] + other[i] for i in range(T + 1)))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        T = min(self.order, other.order)
-        return TruncatedSeries(tuple(self[i] - other[i] for i in range(T + 1)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Product truncated to the smaller order.

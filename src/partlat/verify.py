@@ -500,7 +500,9 @@ def _scheme_totals(top):
 
 def _scheme_unitriangular():
     for m in range(1, 15):
-        intmatrix.scheme_matrix(m)  # the shape tag is validated on construction
+        for i, row in enumerate(schemes.build_scheme(m).cells):
+            if row[i] != 1 or any(row[i + 1:]):
+                return f"scheme {m} row {i}"
     return None
 
 

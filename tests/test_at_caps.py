@@ -1,10 +1,12 @@
-"""CLI tables checked at their cap, each by an identity computed another way.
+"""CLI tables and series checked at their cap, each by an identity computed
+another way.
 
 The oracle stops at total 80, but ``table --max`` runs to 200, the box to
-100 x 100, the matrix tables to ``--size 500`` and ``scheme`` to 400; these
-checks read the tables there.
+100 x 100, the matrix tables to ``--size 500``, ``scheme`` to 400 and
+``series --order`` to 1500; these checks read the tables and series there.
 """
 
+import argparse
 import math
 import random
 from itertools import accumulate
@@ -17,6 +19,7 @@ CAP = 200
 BOX_EDGE = BOX_DIM = 100
 SIZE_CAP = cli.SIZE.cap
 SCHEME_CAP = cli.SCHEME_TOTAL.cap
+ORDER_CAP = cli.MAX_SERIES_ORDER
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +142,46 @@ def test_scheme_and_its_inverse_at_the_cap():
     top = SCHEME_CAP - 1
     assert all(cells[top - a][b] == cells[top - b][a] for a in range(SCHEME_CAP)
                for b in range(a))
-    inverse = intmatrix.invert_unitriangular(intmatrix.IntMatrix(cells, intmatrix.LOWER))
+    inverse = intmatrix.invert_unitriangular(intmatrix.IntMatrix(cells))
     assert freivalds_identity(cells, inverse.entries, seed=SCHEME_CAP)
     assert freivalds_identity(inverse.entries, cells, seed=SCHEME_CAP + 1)
+
+
+def series_at_the_cap(kind, caps=None):
+    args = argparse.Namespace(order=ORDER_CAP, caps=caps)
+    return cli.SERIES_KINDS[kind].build(args).coefficients
+
+
+def test_distinct_times_euler_is_euler_in_t_squared():
+    """(1 + t^k)(1 - t^k) = 1 - t^2k, so the distinct series times the Euler
+    product is the Euler product read at every second power of t."""
+    product = series.TruncatedSeries(series_at_the_cap("distinct")) * series.euler_product(ORDER_CAP)
+    euler = series.euler_product(ORDER_CAP // 2).coefficients
+    assert product.coefficients == tuple(euler[n // 2] if n % 2 == 0 else 0
+                                         for n in range(ORDER_CAP + 1))
+
+
+def test_distinct_signed_has_the_pentagonal_support():
+    """Euler's pentagonal number theorem: (-1)^k at k(3k - 1)/2 for every
+    integer k, zero elsewhere."""
+    want = [0] * (ORDER_CAP + 1)
+    for k in range(-40, 41):
+        if k * (3 * k - 1) // 2 <= ORDER_CAP:
+            want[k * (3 * k - 1) // 2] = (-1) ** k
+    assert series_at_the_cap("distinct-signed") == tuple(want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_capped_is_the_product_of_its_geometric_factors(seed):
+    """Each cap (k, c) is the factor 1 + t^k + ... + t^(ck), uncapped for
+    c = None; the factors are multiplied one at a time as sparse series."""
+    rng = random.Random(seed)
+    parts = rng.sample(range(1, 60), 8) + [rng.randrange(ORDER_CAP // 2, ORDER_CAP + 200)]
+    caps = [(k, rng.choice((None, 0, 1, 2, 5, 40))) for k in parts]
+    text = ",".join(f"{k}:{'*' if c is None else c}" for k, c in caps)
+    want = series.TruncatedSeries.one(ORDER_CAP)
+    for k, c in caps:
+        top = ORDER_CAP if c is None else c * k
+        want = want * series.TruncatedSeries(tuple(int(n % k == 0 and n <= top)
+                                                   for n in range(ORDER_CAP + 1)))
+    assert series_at_the_cap("capped", text) == want.coefficients

@@ -229,6 +229,18 @@ class TestLatticeCommand:
         assert status == 2 and text == ""
         assert "slots must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ("unit-exchange", "split-merge"))
+    def test_zero_total_defaults_to_one_slot(self, capsys, variant):
+        # --slots defaulted to the total, so this exited 2 on "slots must be >= 1".
+        for fmt in ("edges", "dot", "json"):
+            status, text = run_cli("lattice", "--variant", variant, "--total", "0",
+                                   "--format", fmt)
+            assert status == 0 and capsys.readouterr().err == ""
+            assert (status, text) == run_cli("lattice", "--variant", variant, "--total", "0",
+                                             "--slots", "1", "--format", fmt)
+        _, dot = run_cli("lattice", "--variant", variant, "--total", "0", "--format", "dot")
+        assert dot == f'graph "{variant}" {{\n  "0";\n}}\n'
+
     def test_negative_total_refused(self, capsys):
         status, text = run_cli("lattice", "--variant", "unit-exchange", "--total", "-1")
         assert status == 2 and text == ""

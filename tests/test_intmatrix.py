@@ -1,5 +1,4 @@
 import random
-import re
 
 import pytest
 from hypothesis import given
@@ -7,9 +6,6 @@ from hypothesis import strategies as st
 
 from partlat import counting, intmatrix, series
 from partlat.intmatrix import (
-    GENERAL,
-    LOWER,
-    UPPER,
     IntMatrix,
     euler_matrix,
     exact_parts_matrix,
@@ -28,8 +24,13 @@ from partlat.intmatrix import (
 )
 
 
-def from_rows(rows, shape_tag=GENERAL):
-    return IntMatrix(tuple(map(tuple, rows)), shape_tag)
+# The two unitriangular shapes, as test parameters.
+LOWER, UPPER = "lower_unitriangular", "upper_unitriangular"
+REFUSAL = "^only unitriangular matrices are invertible here$"
+
+
+def from_rows(rows):
+    return IntMatrix(tuple(map(tuple, rows)))
 
 
 # The two printed inverse tables, frozen (rows m = 1..6 / 0..5).
@@ -51,23 +52,20 @@ INVERSE_UNIT_DIFF_6 = (
 )
 
 
-def first_shape_fault(rows, tag):
-    """The message for the first entry, row by row and the diagonal first
-    in each, that keeps ``rows`` from being ``tag`` unitriangular."""
-    for i, row in enumerate(rows):
-        if row[i] != 1:
-            return f"diagonal entry at {i} is not 1"
-        for j, x in enumerate(row):
-            if x and (j > i if tag == LOWER else j < i):
-                return f"entry ({i},{j}) breaks {tag}"
-    return None
+def is_unitriangular(rows, shape):
+    """Square, with ones on the diagonal and zeros above it (LOWER) or below
+    it (UPPER), cell by cell."""
+    n = len(rows)
+    return all(len(row) == n for row in rows) and all(
+        rows[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
+        if (j >= i if shape == LOWER else j <= i))
 
 
 class TestEntryTypes:
     @pytest.mark.parametrize("bad", (1.5, 2.0, True, "1", None))
     def test_refused_by_name(self, bad):
         with pytest.raises(ValueError, match="^entries must be an integer$"):
-            IntMatrix(((1, 0), (bad, 1)), LOWER)
+            IntMatrix(((1, 0), (bad, 1)))
         with pytest.raises(ValueError, match="^entries must be an integer$"):
             toeplitz((1, bad))
         with pytest.raises(ValueError, match="^entries must be an integer$"):
@@ -75,30 +73,53 @@ class TestEntryTypes:
 
     def test_checked_before_the_shape(self):
         with pytest.raises(ValueError, match="^entries must be an integer$"):
-            IntMatrix(((1.5, 2), (0, 1)), LOWER)
+            IntMatrix(((1.5, 2), (1, 2, 3)))
+        with pytest.raises(ValueError, match="^ragged matrix$"):
+            IntMatrix(((1, 2), (1, 2, 3)))
 
 
 class TestShapeValidation:
     def test_tag_checked(self):
-        with pytest.raises(ValueError):
-            IntMatrix(((1, 5), (0, 1)), LOWER)
-        with pytest.raises(ValueError):
-            IntMatrix(((2, 0), (0, 1)), UPPER)
+        """The shape is read off the entries when the matrix is inverted."""
+        for rows in (((1, 5), (3, 1)), ((2, 0), (0, 1)), ((1, 0), (0, -1)), ((1, 1), (1, 1)),
+                     ((0,),)):
+            with pytest.raises(ValueError, match=REFUSAL):
+                invert_unitriangular(IntMatrix(rows))
 
     @pytest.mark.parametrize("tag", (LOWER, UPPER))
     def test_first_fault_named(self, tag):
+        """A near-unitriangular matrix inverts exactly when it is lower or
+        upper unitriangular cell by cell; any other gets the one refusal."""
         rng = random.Random(7)
         for _ in range(500):
             n = rng.randint(1, 6)
             rows = [[int(i == j) for j in range(n)] for i in range(n)]
             for _ in range(rng.randint(0, 3)):
                 rows[rng.randrange(n)][rng.randrange(n)] = rng.choice((-1, 0, 1, 2))
-            fault = first_shape_fault(rows, tag)
-            if fault is None:
-                assert from_rows(rows, tag).shape_tag == tag
+            a = from_rows(rows) if tag == LOWER else from_rows(rows).transpose()
+            if is_unitriangular(a.entries, LOWER) or is_unitriangular(a.entries, UPPER):
+                assert invert_unitriangular(a).entries == substitution_inverse(a).entries
             else:
-                with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
-                    from_rows(rows, tag)
+                with pytest.raises(ValueError, match=REFUSAL):
+                    invert_unitriangular(a)
+
+    @pytest.mark.parametrize("rows", (
+        ((1, 0, 0), (4, 1, 0), (-2, 7, 1)),
+        ((1, 4, -2), (0, 1, 7), (0, 0, 1)),
+        ((1, 0), (0, 1)),
+        ((1,),),
+        (),
+    ), ids=("lower", "upper", "identity", "one", "empty"))
+    def test_undeclared_unitriangular_inverts(self, rows):
+        a = IntMatrix(rows)
+        x = invert_unitriangular(a)
+        assert x.entries == substitution_inverse(a).entries
+        assert multiply(a, x).entries == multiply(x, a).entries == identity(len(rows)).entries
+
+    @pytest.mark.parametrize("rows", (((),), ((1, 0),), ((1, 0, 0), (0, 1, 0)), ((1,), (0,))))
+    def test_non_square_refused(self, rows):
+        with pytest.raises(ValueError, match=REFUSAL):
+            invert_unitriangular(IntMatrix(rows))
 
     def test_dimension_mismatch(self):
         a = from_rows([[1, 2]])
@@ -106,18 +127,18 @@ class TestShapeValidation:
             multiply(a, a)
 
     def test_general_matrix_not_invertible_here(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=REFUSAL):
             invert_unitriangular(from_rows([[2, 0], [0, 2]]))
 
 
 class TestSummation:
     def test_upper_definition(self):
         up = summation_matrix(3).transpose()
-        assert up.entries == ((1, 1, 1), (0, 1, 1), (0, 0, 1)) and up.shape_tag == UPPER
+        assert up.entries == ((1, 1, 1), (0, 1, 1), (0, 0, 1))
 
     def test_upper_inverse_pattern(self):
         up = summation_inverse(3).transpose()
-        assert up.entries == ((1, -1, 0), (0, 1, -1), (0, 0, 1)) and up.shape_tag == UPPER
+        assert up.entries == ((1, -1, 0), (0, 1, -1), (0, 0, 1))
 
     @pytest.mark.parametrize("upper", (False, True))
     def test_closed_form_inverse(self, upper):
@@ -155,7 +176,7 @@ class TestMultiplyInvert:
 
     def test_upper_inversion(self):
         a = exact_parts_matrix(8).transpose()
-        assert a.shape_tag == UPPER
+        assert not is_unitriangular(a.entries, LOWER)
         assert multiply(a, invert_unitriangular(a)).entries == identity(8).entries
 
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.data())
@@ -184,12 +205,6 @@ class TestMultiplyInvert:
     def test_empty_products(self):
         assert multiply(from_rows([[1, 2]]), IntMatrix(((), ()))).entries == ((),)
         assert multiply(IntMatrix(()), IntMatrix(())).entries == ()
-
-    def test_tag_propagation(self):
-        low = exact_parts_matrix(4)
-        up = low.transpose()
-        assert multiply(low, low).shape_tag == LOWER
-        assert multiply(low, up).shape_tag == GENERAL
 
 
 class TestPartitionToeplitz:
@@ -222,36 +237,35 @@ class TestPartitionToeplitz:
 class TestToeplitzBuilder:
     def test_small(self):
         assert toeplitz((1, 2, 3)).entries == ((1, 0, 0), (2, 1, 0), (3, 2, 1))
-        assert toeplitz([1]).shape_tag == LOWER
-
-    @pytest.mark.parametrize("column", ((), (2, 1)))
-    def test_refuses_non_unitriangular(self, column):
-        with pytest.raises(ValueError):
-            toeplitz(column)
+        assert toeplitz([1]).entries == ((1,),)
+        # Only inversion needs a unit diagonal.
+        assert toeplitz((2, 1)).entries == ((2, 0), (1, 2))
+        assert toeplitz(()).entries == ()
 
     @pytest.mark.parametrize("make", (partition_matrix, euler_matrix, inverse_unit_diff_matrix))
     @pytest.mark.parametrize("n", (0, -2))
     def test_empty_sizes_refused(self, make, n):
-        with pytest.raises(ValueError, match="unitriangular matrices must be square"):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
             make(n)
 
     def test_matches_cell_definitions(self):
+        unit_diff = counting.unit_diff_table(60)
         cells = {
-            "partition": (partition_matrix, LOWER,
-                          lambda i, j: counting.p(i - j) if i >= j else 0),
-            "euler": (euler_matrix, LOWER,
+            "partition": (partition_matrix, lambda i, j: counting.p(i - j) if i >= j else 0),
+            "euler": (euler_matrix,
                       lambda i, j: series.euler_coefficient(i - j) if i >= j else 0),
-            "summation": (summation_matrix, LOWER, lambda i, j: 1 if j <= i else 0),
-            "summation-upper": (lambda n: summation_matrix(n).transpose(), UPPER,
+            "summation": (summation_matrix, lambda i, j: 1 if j <= i else 0),
+            "summation-upper": (lambda n: summation_matrix(n).transpose(),
                                 lambda i, j: 1 if j >= i else 0),
-            "summation-inverse": (summation_inverse, LOWER,
+            "summation-inverse": (summation_inverse,
                                   lambda i, j: 1 if i == j else (-1 if j == i - 1 else 0)),
-            "summation-inverse-upper": (lambda n: summation_inverse(n).transpose(), UPPER,
+            "summation-inverse-upper": (lambda n: summation_inverse(n).transpose(),
                                         lambda i, j: 1 if i == j else (-1 if j == i + 1 else 0)),
+            "unit-diff": (unit_diff_matrix, lambda i, j: unit_diff.cell(i, j)),
         }
         for n in range(1, 61):
-            for name, (make, tag, cell) in cells.items():
-                assert make(n) == IntMatrix(intmatrix.from_cell(n, cell).entries, tag), (name, n)
+            for name, (make, cell) in cells.items():
+                assert make(n) == intmatrix.from_cell(n, cell), (name, n)
             assert inverse_unit_diff_matrix(n) == invert_unitriangular(unit_diff_matrix(n)), n
 
 
@@ -271,7 +285,7 @@ class TestTableInverses:
 def substitution_inverse(a):
     """Row-by-row forward substitution with three nested Python loops: the
     reference for the packed-row kernel of ``invert_unitriangular``."""
-    if a.shape_tag == UPPER:
+    if not is_unitriangular(a.entries, LOWER):
         return substitution_inverse(a.transpose()).transpose()
     n = a.rows
     inv = [[0] * n for _ in range(n)]
@@ -282,7 +296,7 @@ def substitution_inverse(a):
             if coeff:
                 for j in range(k + 1):
                     inv[i][j] -= coeff * inv[k][j]
-    return IntMatrix(tuple(map(tuple, inv)), LOWER)
+    return IntMatrix(tuple(map(tuple, inv)))
 
 
 class TestSliceInverse:
@@ -294,11 +308,11 @@ class TestSliceInverse:
         rng = random.Random(n)
         rows = [[1 if i == j else rng.choice((0, rng.randint(-50, 50))) if j < i else 0
                  for j in range(n)] for i in range(n)]
-        a = from_rows(rows, LOWER)
+        a = from_rows(rows)
         if tag == UPPER:
             a = a.transpose()
         x = invert_unitriangular(a)
-        assert x.shape_tag == tag
+        assert is_unitriangular(x.entries, tag)
         assert x.entries == substitution_inverse(a).entries
         assert multiply(a, x).entries == identity(n).entries
 
@@ -309,7 +323,7 @@ class TestSliceInverse:
         the earlier rows are packed again at each new width."""
         n = 12
         a = from_rows([[1 if i == j else -2 ** step if j == i - 1 else 0 for j in range(n)]
-                       for i in range(n)], LOWER)
+                       for i in range(n)])
         x = invert_unitriangular(a)
         assert x.entries == substitution_inverse(a).entries
         assert x[n - 1][0] == 2 ** (step * (n - 1)) > 2 ** 127
@@ -319,7 +333,7 @@ class TestSliceInverse:
         rng = random.Random(seed)
         n = 15
         a = from_rows([[1 if i == j else rng.randint(-2 ** 70, 2 ** 70) if j < i else 0
-                        for j in range(n)] for i in range(n)], LOWER)
+                        for j in range(n)] for i in range(n)])
         x = invert_unitriangular(a)
         assert max(map(abs, x[n - 1])) > 2 ** 127
         assert x.entries == substitution_inverse(a).entries
@@ -343,5 +357,5 @@ class TestSchemeInverse:
     @pytest.mark.parametrize("total", range(1, 15))
     def test_scheme_matrix_is_unitriangular_and_inverts(self, total):
         s = scheme_matrix(total)
-        assert s.shape_tag == LOWER
+        assert is_unitriangular(s.entries, LOWER)
         assert multiply(s, scheme_inverse(total)).entries == identity(total).entries

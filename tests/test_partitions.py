@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from partlat import counting, lattices, schemes, series, verify
+from partlat import counting, intmatrix, lattices, schemes, series, verify
 from partlat.oracle import ConstraintRecord, enumerate_partitions
 from partlat.partitions import (
     FerrersMatrix,
@@ -131,7 +131,9 @@ GUARDED = (
     ("column_edge_counts", lattices.column_edge_counts, "total", 2, None),
     ("verify_suite", verify.verify_suite, "max_total", 1, verify.MAX_TOTAL),
     ("MultiplicityVector", lambda v: MultiplicityVector(0, (1, v)), "counts", 0, None),
-)
+) + tuple((name, getattr(intmatrix, name), "n", 1, None) for name in (
+    "summation_matrix", "summation_inverse", "partition_matrix", "euler_matrix",
+    "exact_parts_matrix", "unit_diff_matrix", "inverse_unit_diff_matrix"))
 
 
 @pytest.mark.parametrize("value", (2.0, True, "2"), ids=("float", "bool", "str"))
@@ -146,6 +148,38 @@ def test_each_guarded_entry_point_refuses_by_name(call, name, low, high, value):
     for bad in (low - 1,) if high is None else (low - 1, high + 1):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(bad)
+
+
+# Each int parameter that takes any int, a negative one included (a count
+# with a negative bound is 0): (id, a call with the argument, its name).
+UNBOUNDED = (
+    ("p", counting.p, "total"),
+    ("p_box:max_part", lambda v: counting.p_box(v, 3, 4), "max_part"),
+    ("p_box:max_parts", lambda v: counting.p_box(2, v, 4), "max_parts"),
+    ("p_box:total", lambda v: counting.p_box(2, 3, v), "total"),
+    ("p_atmost:total", lambda v: counting.p_atmost(v, 2), "total"),
+    ("p_atmost:parts", lambda v: counting.p_atmost(5, v), "parts"),
+    ("p_exact:total", lambda v: counting.p_exact(v, 2), "total"),
+    ("p_exact:parts", lambda v: counting.p_exact(5, v), "parts"),
+    ("p_min_part:total", lambda v: counting.p_min_part(v, 2, 1), "total"),
+    ("p_min_part:parts", lambda v: counting.p_min_part(6, v, 1), "parts"),
+    ("p_min_part:min_part", lambda v: counting.p_min_part(6, 2, v), "min_part"),
+    ("exact_frame:largest", lambda v: counting.exact_frame(v, 2, 5), "largest"),
+    ("exact_frame:parts", lambda v: counting.exact_frame(3, v, 5), "parts"),
+    ("exact_frame:total", lambda v: counting.exact_frame(3, 2, v), "total"),
+    ("odd_even_mixed", counting.odd_even_mixed, "total"),
+    ("distinct_row", counting.distinct_row, "total"),
+    ("TruncatedSeries", lambda v: series.TruncatedSeries((1, v)), "coefficients"),
+)
+
+
+@pytest.mark.parametrize("value", (2.0, True, "2"), ids=("float", "bool", "str"))
+@pytest.mark.parametrize("call,name", [u[1:] for u in UNBOUNDED], ids=[u[0] for u in UNBOUNDED])
+def test_each_unbounded_int_parameter_refuses_a_non_int_by_name(call, name, value):
+    # Before, p(True) returned 1 and p_box(2, 3, 4.0) raised TypeError in the kernel.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        call(value)
+    call(-1)
 
 
 class TestConjugate:

@@ -46,7 +46,7 @@ class TestArithmetic:
         a = TruncatedSeries((1, 1, 1, 1, 1))
         b = TruncatedSeries((1, 2))
         assert (a * b).order == 1
-        assert (a + b).coefficients == (2, 3)
+        assert (a * b).coefficients == (1, 3)
 
     def test_invert_requires_unit_constant(self):
         with pytest.raises(ValueError):

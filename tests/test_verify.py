@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from partlat import lattices, verify
+from partlat import lattices, schemes, verify
 from partlat.partitions import MultiplicityVector
 
 
@@ -84,6 +84,23 @@ def test_an_off_by_one_family_is_named_by_both_cross_checks(monkeypatch, family)
     for name in ("counting-oracle-exhaustive", "counting-oracle-random"):
         detail = names_failure(name, verify.MAX_TOTAL)
         assert detail is not None and detail.startswith(f"{family.name}("), (name, detail)
+
+
+@pytest.mark.parametrize("cell,row", (((3, 3), 3), ((5, 6), 5)), ids=("diagonal", "above"))
+def test_scheme_unitriangular_names_a_broken_row(monkeypatch, cell, row):
+    build = schemes.build_scheme
+
+    def broken(total):
+        table = build(total)
+        if total < 9:
+            return table
+        cells = [list(r) for r in table.cells]
+        cells[cell[0]][cell[1]] = 2
+        return replace(table, cells=tuple(map(tuple, cells)))
+
+    assert names_failure("scheme-unitriangular") is None
+    monkeypatch.setattr(schemes, "build_scheme", broken)
+    assert names_failure("scheme-unitriangular") == f"scheme 9 row {row}"
 
 
 def test_the_exhaustive_cross_check_reads_every_total_verify_accepts():
