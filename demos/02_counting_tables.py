@@ -5,19 +5,19 @@ enumeration on the spot."""
 from partlat import ConstraintRecord, count, counting
 
 print("partitions into exactly n parts (rows m=0..6, sum column is p(m)):\n")
-print(counting.exact_table(6).to_tsv())
+print("".join(counting.exact_table(6).export("tsv")))
 
 print("partial row sums give partitions into at most n parts:\n")
-print(counting.atmost_table(6).to_tsv())
+print("".join(counting.atmost_table(6).export("tsv")))
 
 print("odd / even / mixed split (row 9 ends 8, 0, 22, 30):\n")
-print(counting.odd_even_mixed_table(9).to_tsv())
+print("".join(counting.odd_even_mixed_table(9).export("tsv")))
 
 print("distinct parts, with the odd-minus-even difference column:\n")
-print(counting.distinct_table(12).to_tsv())
+print("".join(counting.distinct_table(12).export("tsv")))
 
 print("partitions by number of unit parts:\n")
-print(counting.unit_diff_table(6).to_tsv())
+print("".join(counting.unit_diff_table(6).export("tsv")))
 
 # Every cell above is backed by the enumeration oracle; spot-check one row.
 m = 6

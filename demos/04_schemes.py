@@ -6,7 +6,7 @@ from partlat import counting, intmatrix, schemes
 
 seven = schemes.build_scheme(7)
 print("scheme of 7 (rows: largest part, columns: nonzero parts):\n")
-print(seven.to_tsv())
+print("".join(seven.export("tsv")))
 
 # The transversal symmetry is conjugation: cell (a,b) == cell (b,a).
 print("symmetric about the transversal:",

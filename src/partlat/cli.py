@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from . import counting, errata, intmatrix, lattices, oracle, schemes, series, verify
 from .partitions import label_of
-from .tables import FORMATS, CountTable, render
+from .tables import FORMATS, CountTable
 
 
 class Range(NamedTuple):
@@ -143,11 +143,10 @@ def _registry_help(entries: dict[str, Entry]) -> str:
                    for name, e in entries.items())
 
 
-def _cmd_table(args, out) -> int:
+def _table(args) -> CountTable:
     entry = TABLES[args.name]
     _check_ranges(args, entry.ranges)
-    out.write(render(entry.build(args), args.format))
-    return 0
+    return entry.build(args)
 
 
 def _cmd_count(args, out) -> int:
@@ -165,23 +164,23 @@ def _cmd_count(args, out) -> int:
     return 0
 
 
-def _cmd_scheme(args, out) -> int:
+def _scheme(args) -> CountTable:
     _check_ranges(args, COMMAND_RANGES["scheme"])
-    total = args.total
-    if args.inverse:
-        table = CountTable("scheme-inverse", "m1", "n", tuple(range(total, 0, -1)),
-                           tuple(range(1, total + 1)), intmatrix.scheme_inverse(total).entries,
-                           show_sums=False)
-    else:
-        table = schemes.build_scheme(total)
-    out.write(render(table, args.format))
-    return 0
+    if not args.inverse:
+        return schemes.build_scheme(args.total)
+    labels = tuple(range(1, args.total + 1))
+    return CountTable("scheme-inverse", "m1", "n", labels[::-1], labels,
+                      intmatrix.scheme_inverse(args.total).entries, show_sums=False)
 
 
-def _cmd_lattice(args, out) -> int:
+def _lattice(args) -> lattices.OrbitLattice:
     _, names = lattices.VARIANTS[args.variant]
-    lat = lattices.build_lattice(args.variant, **{name: getattr(args, name) for name in names})
-    out.writelines(lat.export(args.format))
+    return lattices.build_lattice(args.variant, **{name: getattr(args, name) for name in names})
+
+
+def _cmd_export(args, out) -> int:
+    """Stream the table, scheme or lattice ``args.build`` makes in ``args.format``."""
+    out.writelines(args.build(args).export(args.format))
     return 0
 
 
@@ -258,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--dim", type=int, default=3, help="box tables: number of part slots")
     t.add_argument("--total", type=int, default=7, help="scheme tables: the partitioned total")
     t.add_argument("--format", choices=FORMATS, default="tsv")
-    t.set_defaults(fn=_cmd_table)
+    t.set_defaults(fn=_cmd_export, build=_table)
 
     c = sub.add_parser("count", help="count (or list) partitions under constraints")
     # One flag per record field, in field order; the rest are optional ints.
@@ -280,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"the partitioned total ({SCHEME_TOTAL.low}..{SCHEME_TOTAL.cap})")
     s.add_argument("--inverse", action="store_true")
     s.add_argument("--format", choices=FORMATS, default="tsv")
-    s.set_defaults(fn=_cmd_scheme)
+    s.set_defaults(fn=_cmd_export, build=_scheme)
 
     g = sub.add_parser("lattice", help="emit an orbit lattice")
     g.add_argument("--variant", choices=lattices.VARIANTS, required=True)
@@ -293,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--ones", type=int, help="subset variants: number of ones")
     g.add_argument("--dim", type=int, help="hypercube dimension")
     g.add_argument("--format", choices=("edges", "dot", "json"), default="edges")
-    g.set_defaults(fn=_cmd_lattice)
+    g.set_defaults(fn=_cmd_export, build=_lattice)
 
     e = sub.add_parser("series", help="print generating-series coefficients",
                        description=_registry_help(SERIES_KINDS),

@@ -97,6 +97,7 @@ def p_exact(total: int, parts: int) -> int:
 
 def p_row_sum(total: int) -> int:
     """Unrestricted partition count as a sum over exact part counts."""
+    require_ints("total", total)
     if total < 0:
         return 0
     return sum(column[total - n] for n, column in enumerate(_box_columns(total, total, total)))
@@ -144,6 +145,7 @@ def odd_even_mixed(total: int) -> tuple[int, int, int, int]:
 
 def odd_even_mixed_table(max_total: int) -> CountTable:
     """All-odd counts by part count, with odd/even/mixed/p sums."""
+    require_ints("max_total", max_total)
     cols: list = list(range(1, max_total + 1)) + ["odd", "even", "mixed", "p"]
     cells = tuple(_odd_even_mixed_rows(max_total, range(1, max_total + 1)))
     return CountTable("odd-even-mixed", "m", "n", tuple(range(1, max_total + 1)),
@@ -167,6 +169,8 @@ def distinct_exact(total: int, parts: int) -> int:
     """Partitions of ``total`` into exactly ``parts`` distinct parts:
     removing the staircase parts, parts-1, ..., 1 leaves at most ``parts``
     parts."""
+    require_ints("total", total)
+    require_ints("parts", parts)
     return p_atmost(total - parts * (parts + 1) // 2, parts)
 
 
@@ -181,6 +185,7 @@ def distinct_row(total: int) -> tuple[tuple[int, ...], int]:
 
 
 def distinct_table(max_total: int) -> CountTable:
+    require_ints("max_total", max_total)
     cells = tuple(_distinct_rows(max_total, range(1, max_total + 1)))
     width = len(cells[-1]) - 2 if cells else 0
     cols: list = list(range(1, width + 1)) + ["total", "difference"]
@@ -206,6 +211,7 @@ def _distinct_rows(max_total: int, totals: Iterable[int]) -> Iterator[tuple[int,
 def unit_diff_column(order: int) -> tuple[int, ...]:
     """p(m) - p(m - 1) for m = 0..order: the partitions of m with no part
     equal to 1 (empty for a negative order)."""
+    require_ints("order", order)
     numbers = _partition_numbers(order)
     return tuple(map(sub, numbers, [0] + numbers))
 
@@ -213,12 +219,15 @@ def unit_diff_column(order: int) -> tuple[int, ...]:
 def unit_diff_cell(total: int, units: int) -> int:
     """Partitions of ``total`` with exactly ``units`` parts equal to 1:
     remove them and forbid any further 1, p(rest) - p(rest - 1)."""
+    require_ints("total", total)
+    require_ints("units", units)
     if units < 0 or units > total:
         return 0
     return unit_diff_column(total - units)[-1]
 
 
 def unit_diff_table(max_total: int) -> CountTable:
+    require_ints("max_total", max_total)
     column = unit_diff_column(max_total)
     return grid_table("unit-diff", "m", "n",
                       range(max_total + 1), range(max_total + 1),
@@ -243,6 +252,7 @@ def neighbor_total(total: int) -> int:
     """Number of one-unit exchange edges that increase the nonzero part
     count, summed over all partitions of ``total``: equals
     p(0) + p(1) + ... + p(total - 2)."""
+    require_ints("total", total)
     return sum(_partition_numbers(total - 2))
 
 
@@ -283,6 +293,8 @@ def layer_count(total: int, layer: int) -> int:
     hook frame holds total - layer + 1 units and the interior layer - 1, so
     sum over the first-row length r of the interior counts inside the
     (r-1) x (frame-r) box."""
+    require_ints("total", total)
+    require_ints("layer", layer)
     if layer < 1 or layer > total:
         return 0
     frame = total - layer + 1
@@ -343,6 +355,7 @@ def binomial_table(max_size: int) -> CountTable:
     of any total.  Summed over totals, the corrected box recurrence (are
     all b slots nonzero?) reads B(a, b) = B(a, b-1) + B(a-1, b), with
     B(0, b) = B(a, 0) = 1."""
+    require_ints("max_size", max_size)
     boxes = [[1] * max_size for _ in range(max_size)]
     for a in range(1, max_size):
         for b in range(1, max_size - a):
@@ -355,6 +368,7 @@ def binomial_table(max_size: int) -> CountTable:
 # -- the classic table pair ---------------------------------------------------
 
 def exact_table(max_total: int) -> CountTable:
+    require_ints("max_total", max_total)
     columns = list(_box_columns(max_total, max_total, max_total))
     return grid_table("exact", "m", "n",
                       range(max_total + 1), range(max_total + 1),
@@ -362,6 +376,7 @@ def exact_table(max_total: int) -> CountTable:
 
 
 def atmost_table(max_total: int) -> CountTable:
+    require_ints("max_total", max_total)
     columns = list(_box_columns(max_total, max_total, max_total))
     return grid_table("atmost", "m", "n",
                       range(max_total + 1), range(max_total + 1),
@@ -371,6 +386,8 @@ def atmost_table(max_total: int) -> CountTable:
 def box_table(edge: int, dim: int) -> CountTable:
     """Counts of partitions in cubes: rows are totals, columns edge sizes
     0..edge, each column counting inside the (e x dim) box."""
+    require_ints("edge", edge)
+    require_ints("dim", dim)
     columns = list(_box_columns(max(dim, 0), edge, edge * dim))
     return grid_table("box", "m", "edge",
                       range(edge * dim + 1), range(edge + 1),

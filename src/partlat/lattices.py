@@ -21,7 +21,8 @@ pairs i < j, and the queries run on a compressed adjacency (offsets and
 targets arrays) built on first use.  Each node is labelled once, and
 labels serve only lookup and export: ``OrbitLattice.edges`` pairs them on
 demand, and :meth:`OrbitLattice.export` streams each text format in
-chunks.
+chunks of nodes and edges cut by :mod:`partlat.tables`' ``_slices``, the
+chunking the table exports use.
 
 ``NODE_CAP`` and ``EDGE_CAP`` refuse graphs too large to materialize, every
 variant by its closed-form node and edge counts before any work: binomial
@@ -46,6 +47,7 @@ from typing import Iterator, NoReturn
 
 from . import counting, oracle
 from .partitions import label_of, require_ints
+from .tables import _slices
 
 # Refuse to materialize graphs whose node set, edge set or labels are
 # unreasonable; a label has a character or more per slot or bit.
@@ -53,8 +55,6 @@ NODE_CAP = 10 ** 6
 EDGE_CAP = 10 ** 6
 WIDTH_CAP = 100
 
-# Lines per chunk of a streamed export.
-_CHUNK = 4096
 # One-byte strings, by value: a padded part string holds one part per byte.
 _BYTES = [bytes((v,)) for v in range(256)]
 
@@ -162,11 +162,10 @@ class OrbitLattice:
     def _edge_text(self, heads: list[str], tails: list[str], sep: str = "") -> Iterator[str]:
         """``sep + heads[i] + tails[j]`` for each edge (i, j), in chunks,
         joined from the per-node strings without a string per edge."""
-        low, high = self._low, self._high
-        for start in range(0, len(low), _CHUNK):
-            pieces = [sep] * (3 * len(low[start:start + _CHUNK]))
-            pieces[1::3] = map(heads.__getitem__, low[start:start + _CHUNK])
-            pieces[2::3] = map(tails.__getitem__, high[start:start + _CHUNK])
+        for low, high in zip(_slices(self._low), _slices(self._high)):
+            pieces = [sep] * (3 * len(low))
+            pieces[1::3] = map(heads.__getitem__, low)
+            pieces[2::3] = map(tails.__getitem__, high)
             yield "".join(pieces)
 
     def to_edge_list(self) -> str:
@@ -181,10 +180,6 @@ class OrbitLattice:
             "nodes": list(self.nodes),
             "edges": [[a, b] for a, b in self.edges],
         }
-
-
-def _slices(items: list) -> Iterator[list]:
-    return (items[start:start + _CHUNK] for start in range(0, len(items), _CHUNK))
 
 
 def _json_array(chunks) -> Iterator[str]:

@@ -89,6 +89,8 @@ class Partition:
         nonzero = tuple(v for v in parts if v > 0)
         if padded_length is None:
             padded_length = len(parts)
+        else:
+            require_ints("padded_length", padded_length)
         if padded_length < len(nonzero):
             raise ValueError(f"padded_length {padded_length} < {len(nonzero)} nonzero parts")
         self._nonzero = nonzero
@@ -220,6 +222,7 @@ class FerrersMatrix:
     def __post_init__(self):
         if len(set(map(len, self.cells))) > 1:
             raise ValueError("ragged grid")
+        require_ints("each cell", *chain.from_iterable(self.cells))
         if not _BITS.issuperset(chain.from_iterable(self.cells)):
             bad = next(v for v in chain.from_iterable(self.cells) if v not in _BITS)
             raise ValueError(f"cell value {bad} not in {{0,1}}")

@@ -139,6 +139,7 @@ def euler_coefficient(n: int) -> int:
 
 def pentagonal_pairs(count: int) -> list[tuple[int, int]]:
     """The first ``count`` pairs (k(3k-1)/2, k(3k+1)/2), k = 1, 2, ..."""
+    require_ints("count", count)
     return [(k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) for k in range(1, count + 1)]
 
 
@@ -212,13 +213,16 @@ def capped_product(caps: Sequence[tuple[int, int | None]], order: int) -> Trunca
     seen = set()
     terms = [1] + [0] * order
     for k, c in caps:
+        require_ints("part value", k)
         if k < 1:
             raise ValueError(f"part value {k} must be >= 1")
         if k in seen:
             raise ValueError(f"duplicate part value {k}")
         seen.add(k)
-        if c is not None and c < 0:
-            raise ValueError(f"cap {c} must be >= 0")
+        if c is not None:
+            require_ints("cap", c)
+            if c < 0:
+                raise ValueError(f"cap {c} must be >= 0")
         if k <= order:
             if c is not None:
                 _times_binomial(terms, (c + 1) * k)

@@ -1,17 +1,29 @@
 """Labeled exact-integer tables and their text/JSON forms.
 
 Row and column keys are usually ints (totals, part counts) but may be
-strings for composite tables that carry their own sum columns.  Rendered
-output is deterministic so it can be diffed and parsed back.
+strings for composite tables that carry their own sum columns.  Output is
+deterministic so it can be diffed and parsed back.
+
+:meth:`CountTable.export` streams each format in chunks of ``_CHUNK`` rows
+(json: encoder pieces), so a large table is never held as one string; the
+json text is ``json.dumps(table.to_json_dict(), indent=2)`` and a newline.
+Lattice exports cut their node and edge chunks with the same ``_slices``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 Key = int | str
+
+# Rows, nodes, edges or JSON pieces per chunk of a streamed export.
+_CHUNK = 4096
+FORMATS = ("tsv", "csv", "json", "md")
+# Text format -> (line start, separator, line end).
+_LINES = {"tsv": ("", "\t", "\n"), "csv": ("", ",", "\n"), "md": ("| ", " | ", " |\n")}
 
 
 @dataclass(frozen=True)
@@ -22,15 +34,14 @@ class CountTable:
     rows: tuple[Key, ...]
     cols: tuple[Key, ...]
     cells: tuple[tuple[int, ...], ...]
-    # Whether renderers append the derived sum column / sum row.
+    # Whether the text formats append the derived sum column / sum row.
     show_sums: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         if len(self.cells) != len(self.rows):
             raise ValueError("cell grid height != number of rows")
-        for row in self.cells:
-            if len(row) != len(self.cols):
-                raise ValueError("cell grid width != number of columns")
+        if any(len(row) != len(self.cols) for row in self.cells):
+            raise ValueError("cell grid width != number of columns")
 
     @property
     def row_sums(self) -> tuple[int, ...]:
@@ -38,7 +49,7 @@ class CountTable:
 
     @property
     def col_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row[j] for row in self.cells) for j in range(len(self.cols)))
+        return tuple(map(sum, zip(*self.cells))) if self.cells else (0,) * len(self.cols)
 
     @property
     def total(self) -> int:
@@ -57,83 +68,59 @@ class CountTable:
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "row_label": self.row_label,
-            "col_label": self.col_label,
-            "rows": list(self.rows),
-            "cols": list(self.cols),
-            "cells": [list(r) for r in self.cells],
-            "row_sums": list(self.row_sums),
-            "col_sums": list(self.col_sums),
-        }
+        return {"name": self.name, "row_label": self.row_label, "col_label": self.col_label,
+                "rows": list(self.rows), "cols": list(self.cols),
+                "cells": list(map(list, self.cells)),
+                "row_sums": list(self.row_sums), "col_sums": list(self.col_sums)}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+    def export(self, fmt: str) -> Iterator[str]:
+        """The ``tsv``, ``csv``, ``json`` or ``md`` text in chunks."""
+        if fmt == "json":
+            pieces = json.JSONEncoder(indent=2).iterencode(self.to_json_dict())
+            for first in pieces:
+                yield first + "".join(islice(pieces, _CHUNK - 1))
+            yield "\n"
+            return
+        if fmt not in _LINES:
+            raise ValueError(f"unknown table format {fmt!r}")
+        start, sep, end = _LINES[fmt]
+        sums = self.show_sums
+        head = (f"{self.row_label}\\{self.col_label}", *self.cols) + (("sum",) if sums else ())
+        yield start + sep.join(map(str, head)) + end
+        if fmt == "md":
+            yield "|" + " --- |" * len(head) + "\n"
+        for keys, rows in zip(_slices(self.rows), _slices(self.cells)):
+            yield "".join([start + sep.join(map(str, (key, *row, sum(row)) if sums else (key, *row)))
+                           + end for key, row in zip(keys, rows)])
+        if sums:
+            col_sums = self.col_sums
+            yield start + sep.join(map(str, ("sum", *col_sums, sum(col_sums)))) + end
 
     @classmethod
     def from_json(cls, text: str) -> "CountTable":
         d = json.loads(text)
-        table = cls(
-            name=d["name"],
-            row_label=d["row_label"],
-            col_label=d["col_label"],
-            rows=tuple(d["rows"]),
-            cols=tuple(d["cols"]),
-            cells=tuple(tuple(r) for r in d["cells"]),
-        )
+        table = cls(d["name"], d["row_label"], d["col_label"], tuple(d["rows"]),
+                    tuple(d["cols"]), tuple(map(tuple, d["cells"])))
         if list(table.row_sums) != d["row_sums"] or list(table.col_sums) != d["col_sums"]:
             raise ValueError("stored sums disagree with cells")
         return table
 
-    def _grid(self) -> list[list[str]]:
-        head = [f"{self.row_label}\\{self.col_label}"] + [str(c) for c in self.cols]
-        body = [[str(r)] + [str(v) for v in row] for r, row in zip(self.rows, self.cells)]
-        if self.show_sums:
-            head.append("sum")
-            for line, s in zip(body, self.row_sums):
-                line.append(str(s))
-            body.append(["sum"] + [str(v) for v in self.col_sums] + [str(self.total)])
-        return [head] + body
-
-    def to_delimited(self, sep: str) -> str:
-        return "".join(sep.join(line) + "\n" for line in self._grid())
-
-    def to_tsv(self) -> str:
-        return self.to_delimited("\t")
-
-    def to_csv(self) -> str:
-        return self.to_delimited(",")
-
-    def to_markdown(self) -> str:
-        grid = self._grid()
-        out = ["| " + " | ".join(grid[0]) + " |"]
-        out.append("|" + "|".join(" --- " for _ in grid[0]) + "|")
-        for line in grid[1:]:
-            out.append("| " + " | ".join(line) + " |")
-        return "\n".join(out) + "\n"
-
     @classmethod
     def parse_delimited(cls, text: str, sep: str, name: str = "",
                         has_sums: bool = True) -> "CountTable":
-        """Inverse of :meth:`to_delimited`; validates the sum column/row."""
+        """Inverse of the tsv and csv exports (``sep`` is the separator);
+        validates the sum column/row."""
         lines = [ln.split(sep) for ln in text.splitlines() if ln]
-        head, body = lines[0], lines[1:]
+        end = -1 if has_sums else None  # the sum column and the sum row
+        head, body = lines[0], lines[1:end]
         row_label, col_label = head[0].split("\\", 1)
-        cols = [_key(c) for c in (head[1:-1] if has_sums else head[1:])]
+        table = cls(name, row_label, col_label, tuple(_key(line[0]) for line in body),
+                    tuple(map(_key, head[1:end])),
+                    tuple(tuple(map(int, line[1:end])) for line in body), show_sums=has_sums)
         if has_sums:
-            body, sum_row = body[:-1], body[-1]
-        rows = [_key(line[0]) for line in body]
-        cells = tuple(
-            tuple(int(v) for v in (line[1:-1] if has_sums else line[1:])) for line in body
-        )
-        table = cls(name, row_label, col_label, tuple(rows), tuple(cols), cells,
-                    show_sums=has_sums)
-        if has_sums:
-            claimed = [int(line[-1]) for line in body]
-            if claimed != list(table.row_sums):
+            if [int(line[-1]) for line in body] != list(table.row_sums):
                 raise ValueError("sum column disagrees with cells")
-            if sum_row != ["sum", *map(str, table.col_sums), str(table.total)]:
+            if lines[-1] != ["sum", *map(str, table.col_sums), str(table.total)]:
                 raise ValueError("sum row disagrees with cells")
         return table
 
@@ -145,14 +132,8 @@ def _key(text: str) -> Key:
         return text
 
 
-# Table format -> the CountTable method that renders it.
-FORMATS = {"tsv": "to_tsv", "csv": "to_csv", "json": "to_json", "md": "to_markdown"}
-
-
-def render(table: CountTable, fmt: str) -> str:
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown table format {fmt!r}")
-    return getattr(table, FORMATS[fmt])()
+def _slices(items: Sequence) -> Iterator[Sequence]:
+    return (items[start:start + _CHUNK] for start in range(0, len(items), _CHUNK))
 
 
 def grid_table(name: str, row_label: str, col_label: str,

@@ -77,6 +77,15 @@ def test_atmost_last_column_and_diagonal_are_partition_numbers(partition_numbers
     assert tuple(table.cell(m, m) for m in table.rows) == partition_numbers
 
 
+def test_neighbor_rows_sum_to_partition_numbers_below(partition_numbers):
+    """Row m sums to p(0) + ... + p(m - 2); column 1 (a single part m,
+    one unit into a zero slot) is all ones."""
+    table = counting.right_hand_neighbor_table(CAP)
+    below = tuple(accumulate(partition_numbers))
+    assert table.row_sums == tuple(below[m - 2] for m in table.rows)
+    assert table.column(1) == (1,) * len(table.rows)
+
+
 def test_binomial_cells_are_binomial_coefficients():
     table = counting.binomial_table(CAP)
     assert table.cells == tuple(tuple(math.comb(r - 1, k - 1) for k in table.cols)

@@ -10,7 +10,7 @@ from dataclasses import fields
 import pytest
 
 from partlat import cli, oracle, tables
-from partlat.counting import exact_table, p, p_box
+from partlat.counting import atmost_table, exact_table, odd_even_mixed_table, p, p_box
 from partlat.schemes import build_scheme
 from partlat.tables import CountTable
 
@@ -19,6 +19,49 @@ def run_cli(*argv):
     out = io.StringIO()
     status = cli.run(list(argv), out=out)
     return status, out.getvalue()
+
+
+def export_reference(table):
+    """Each format's text, built here from the table's fields."""
+    sums = table.show_sums
+    grid = [[f"{table.row_label}\\{table.col_label}", *table.cols] + (["sum"] if sums else [])]
+    for key, row in zip(table.rows, table.cells):
+        grid.append([key, *row] + ([sum(row)] if sums else []))
+    col_sums = [sum(row[j] for row in table.cells) for j in range(len(table.cols))]
+    if sums:
+        grid.append(["sum", *col_sums, sum(col_sums)])
+    lines = [list(map(str, line)) for line in grid]
+    md = ["| " + " | ".join(line) + " |\n" for line in lines]
+    md.insert(1, "|" + "|".join([" --- "] * len(lines[0])) + "|\n")
+    fields = {"name": table.name, "row_label": table.row_label, "col_label": table.col_label,
+              "rows": list(table.rows), "cols": list(table.cols),
+              "cells": [list(row) for row in table.cells],
+              "row_sums": [sum(row) for row in table.cells], "col_sums": col_sums}
+    return {"tsv": "".join("\t".join(line) + "\n" for line in lines),
+            "csv": "".join(",".join(line) + "\n" for line in lines),
+            "json": json.dumps(fields, indent=2) + "\n",
+            "md": "".join(md)}
+
+
+MID_SIZES = ["--max", "20", "--size", "20", "--edge", "8", "--dim", "8", "--total", "14"]
+PINNED_TABLES = {
+    "table exact": "b92c34e7aaef7ea713436285cabdb9ef8404ae026be2d2c179dc085f6e7ba8af",
+    "table atmost": "8b04a7b318f89bf19585fb1ae5ba1779423040183134fb9d029e9ff3cf094e8f",
+    "table odd-even-mixed": "dce3c79c00a1e2aa557aac54ce560b389bf9767b06b6e3922ddd153d98d02062",
+    "table distinct": "422cf838e16c123b6608ce1850edafb652a1e12d6601c08a4d5e7abc63301a29",
+    "table unit-diff": "4d927d336f8d5399ef634e8db1e5855b605094bbbfc1c1a92a915bf7de216174",
+    "table euler": "62a1987f02c253dea86dec2ffd77e039abb2f9bdd2a8525f8170fbabb65fe38e",
+    "table euler-inverse": "9a7f9c3b844dc28ef796a9cf5b1e345b6db0bb4d1e575c5c35470c3542751242",
+    "table inverse-exact": "c34172acc265ed118c4818f2304a24f73b88f4a23a30dc2943b6978e0ba5c02b",
+    "table inverse-unit-diff": "6cc0f8f425c35abb7777f864afbb7351b030864e335edfef905105875c329033",
+    "table box": "a7d42b2d1d385449be37f931bb81655a75d1a2c879a9845634767bec6f997a8e",
+    "table scheme": "25bbdba5d7ad5de9c1125b5e0d93db9f06d93afc87658cfbdbd699ec129dd82b",
+    "table neighbors": "3ee2041759bccb93275bc8be2ef2141f6a2a0bf713963e977c774441cb0127e3",
+    "table layers": "b72d152b7f096d80ddb33b377837f13ab80ec2b09a968853323ac283c0246d6e",
+    "table binomial": "733721a524c5e69054f407d02e788ca4163f73fdf0abeb9b4bee11daef94fa21",
+    "scheme --total 14": "25bbdba5d7ad5de9c1125b5e0d93db9f06d93afc87658cfbdbd699ec129dd82b",
+    "scheme --total 14 --inverse": "ac63700e158b4283de734c3017b7e541a73e4d8f194665c003378f352e617ddd",
+}
 
 
 class TestTableCommand:
@@ -58,14 +101,44 @@ class TestTableCommand:
         with pytest.raises(ValueError, match=message):
             CountTable.parse_delimited("\n".join(lines) + "\n", "\t")
 
-    @pytest.mark.parametrize("fmt,method", tables.FORMATS.items())
-    def test_render_dispatches_by_format(self, fmt, method):
-        table = exact_table(4)
-        assert tables.render(table, fmt) == getattr(table, method)()
+    @pytest.mark.parametrize("chunk", (1, 2, 3, 4096))
+    @pytest.mark.parametrize("fmt", tables.FORMATS)
+    def test_export_chunks_join_to_the_reference_text(self, monkeypatch, fmt, chunk):
+        monkeypatch.setattr(tables, "_CHUNK", chunk)
+        for table in (exact_table(9), atmost_table(9), odd_even_mixed_table(7), exact_table(-1)):
+            chunks = list(table.export(fmt))
+            assert "".join(chunks) == export_reference(table)[fmt], table.name
+            if fmt != "json":
+                assert max(c.count("\n") for c in chunks) <= chunk
 
-    def test_render_refuses_an_unknown_format(self):
+    def test_export_refuses_an_unknown_format(self):
         with pytest.raises(ValueError, match="unknown table format 'xml'"):
-            tables.render(exact_table(4), "xml")
+            list(exact_table(4).export("xml"))
+
+    @pytest.mark.parametrize("chunk", (16, 4096))
+    @pytest.mark.parametrize("fmt", tables.FORMATS)
+    def test_written_in_chunks_as_the_whole_export(self, monkeypatch, fmt, chunk):
+        monkeypatch.setattr(tables, "_CHUNK", chunk)
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        assert cli.run(["table", "exact", "--max", "200", "--format", fmt], out=Recorder()) == 0
+        assert "".join(writes) == export_reference(exact_table(200))[fmt]
+        assert len(writes) > 1
+        if fmt != "json":
+            assert max(w.count("\n") for w in writes) <= chunk
+
+    @pytest.mark.parametrize("command,digest", PINNED_TABLES.items(), ids=list(PINNED_TABLES))
+    def test_pinned_table_bytes(self, command, digest):
+        # sha256 of the tsv, csv, json and md stdout in turn, recorded from
+        # the whole-string renderers that export replaced.
+        argv = command.split() + (MID_SIZES if command.startswith("table") else [])
+        text = "".join(run_cli(*argv, "--format", fmt)[1] for fmt in tables.FORMATS)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_csv_and_markdown(self):
         status, text = run_cli("table", "atmost", "--max", "4", "--format", "csv")
@@ -212,7 +285,7 @@ class TestLatticeCommand:
                 sizes.append(len(text))
                 return super().write(text)
 
-        monkeypatch.setattr(cli.lattices, "_CHUNK", 16)
+        monkeypatch.setattr(tables, "_CHUNK", 16)
         out = Recorder()
         status = cli.run(["lattice", "--variant", "split-merge", "--total", "12",
                           "--format", fmt], out=out)

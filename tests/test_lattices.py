@@ -7,7 +7,7 @@ from collections.abc import Sequence
 
 import pytest
 
-from partlat import lattices
+from partlat import lattices, tables
 from partlat.lattices import (
     build_hypercube,
     build_lattice,
@@ -431,7 +431,7 @@ class TestStreamedExport:
     @pytest.mark.parametrize("chunk", (1, 2, 3, 4096))
     @pytest.mark.parametrize("build", CASES)
     def test_chunks_join_to_the_whole_text(self, monkeypatch, build, chunk):
-        monkeypatch.setattr(lattices, "_CHUNK", chunk)
+        monkeypatch.setattr(tables, "_CHUNK", chunk)
         lat = build()
         for fmt, text in self.reference(lat).items():
             chunks = list(lat.export(fmt))

@@ -1,3 +1,4 @@
+import re
 from enum import IntEnum
 
 import pytest
@@ -170,6 +171,24 @@ UNBOUNDED = (
     ("odd_even_mixed", counting.odd_even_mixed, "total"),
     ("distinct_row", counting.distinct_row, "total"),
     ("TruncatedSeries", lambda v: series.TruncatedSeries((1, v)), "coefficients"),
+    ("pentagonal_pairs", series.pentagonal_pairs, "count"),
+    ("p_row_sum", counting.p_row_sum, "total"),
+    ("layer_count:total", lambda v: counting.layer_count(v, 1), "total"),
+    ("layer_count:layer", lambda v: counting.layer_count(5, v), "layer"),
+    ("neighbor_total", counting.neighbor_total, "total"),
+    ("distinct_exact:total", lambda v: counting.distinct_exact(v, 1), "total"),
+    ("distinct_exact:parts", lambda v: counting.distinct_exact(5, v), "parts"),
+    ("unit_diff_cell:total", lambda v: counting.unit_diff_cell(v, 1), "total"),
+    ("unit_diff_cell:units", lambda v: counting.unit_diff_cell(4, v), "units"),
+    ("unit_diff_column", counting.unit_diff_column, "order"),
+    ("exact_table", counting.exact_table, "max_total"),
+    ("atmost_table", counting.atmost_table, "max_total"),
+    ("odd_even_mixed_table", counting.odd_even_mixed_table, "max_total"),
+    ("distinct_table", counting.distinct_table, "max_total"),
+    ("unit_diff_table", counting.unit_diff_table, "max_total"),
+    ("box_table:edge", lambda v: counting.box_table(v, 2), "edge"),
+    ("box_table:dim", lambda v: counting.box_table(2, v), "dim"),
+    ("binomial_table", counting.binomial_table, "max_size"),
 )
 
 
@@ -180,6 +199,35 @@ def test_each_unbounded_int_parameter_refuses_a_non_int_by_name(call, name, valu
     with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
         call(value)
     call(-1)
+
+
+# Each int parameter whose range check keeps a message of its own, naming the
+# value that failed: (id, a call with the argument, its name, an int out of
+# range, that message).
+OWN_RANGE = (
+    ("Partition", lambda v: Partition((2, 1), v), "padded_length", 1,
+     "padded_length 1 < 2 nonzero parts"),
+    ("canonicalize", lambda v: canonicalize((2, 1), v), "padded_length", 1,
+     "padded_length 1 < 2 nonzero parts"),
+    ("FerrersMatrix", lambda v: FerrersMatrix(((1, v),)), "each cell", -1,
+     "cell value -1 not in {0,1}"),
+    ("capped_product:part", lambda v: series.capped_product([(v, None)], 5), "part value", 0,
+     "part value 0 must be >= 1"),
+    ("capped_product:cap", lambda v: series.capped_product([(2, v)], 5), "cap", -1,
+     "cap -1 must be >= 0"),
+)
+
+
+@pytest.mark.parametrize("value", (2.0, True, "2"), ids=("float", "bool", "str"))
+@pytest.mark.parametrize("call,name,bad,message", [o[1:] for o in OWN_RANGE],
+                         ids=[o[0] for o in OWN_RANGE])
+def test_each_own_range_parameter_refuses_a_non_int_by_name(call, name, bad, message, value):
+    # Before, Partition((2, 1), 2.5) raised TypeError on use, FerrersMatrix
+    # took True as a cell and capped_product read a True part as 1.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        call(value)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
 
 
 class TestConjugate:
