@@ -3,7 +3,7 @@
 Every restricted count is a coefficient of a Gaussian polynomial
 G(a, b) = prod_{k=1..b} (1 - t^(a+k)) / (1 - t^k), which counts partitions
 inside an a x b box (Andrews, *The Theory of Partitions*, ch. 3), built by
-the iterative kernel :func:`_box_columns`; tables take every cell from one
+:func:`_box_columns`, the one kernel sweep; tables take every cell from one
 sweep, the binomial table from the box recurrence summed over totals.
 ``p`` uses the pentagonal-number recurrence instead, so the two
 constructions check each other.  Nothing recurses, walks a lattice or uses
@@ -18,8 +18,8 @@ p_box(m, n-1, M) + p_box(m-1, n, M-n) (are all n slots nonzero?) does not
 from __future__ import annotations
 
 import math
-from itertools import accumulate
-from operator import add, sub
+from itertools import accumulate, repeat
+from operator import add, lshift, sub
 from typing import Iterable, Iterator
 
 from .partitions import Partition, require_ints
@@ -271,23 +271,6 @@ def right_hand_neighbor_table(max_total: int) -> CountTable:
 
 # -- hook layers -------------------------------------------------------------
 
-def _frame_interiors(frames: int) -> Iterator[tuple[int, int, list[int]]]:
-    """(a, b, G(a, b) up to t^(frames - 1 - a - b)) for every interior box
-    with a + b < frames: the partitions with hook frame a + b + 1 and first
-    row a + 1, by interior size, as far as a total up to ``frames`` reads.
-    One sweep per first-row length; a term only feeds higher ones, so each
-    step drops the last term once it is yielded.  The list is reused: read
-    it before the next step."""
-    for a in range(frames):
-        column = [1] + [0] * (frames - 1 - a)
-        for b in range(frames - a):
-            if b:
-                _times_binomial(column, a + b)
-                _divide_one_minus(column, b)
-            yield a, b, column
-            column.pop()
-
-
 def layer_count(total: int, layer: int) -> int:
     """Partitions of ``total`` in the given layer (1 + interior size): the
     hook frame holds total - layer + 1 units and the interior layer - 1, so
@@ -304,11 +287,14 @@ def layer_count(total: int, layer: int) -> int:
 def layer_table(max_total: int) -> CountTable:
     require_ints("max_total", max_total, low=1)
     # hooks[f][t] = layer_count(f + t, t + 1) for every frame and interior
-    # that fit in a total up to max_total: t <= max_total - f.
+    # that fit in a total up to max_total: t <= max_total - f.  G(a, b) =
+    # G(b, a), so a sweep over b <= a adds box (a, b) twice when a != b.
     hooks = [[0] * max_total for _ in range(max_total + 1)]
-    for a, b, column in _frame_interiors(max_total):
-        hooks[a + b + 1] = list(map(add, hooks[a + b + 1], column))
-
+    for a in range(max_total):
+        top = max_total - 1 - a
+        for b, column in enumerate(_box_columns(a, min(a, top), top)):
+            pair = map(lshift, column[:top - b + 1], repeat(a != b))
+            hooks[a + b + 1] = list(map(add, hooks[a + b + 1], pair))
     return grid_table("layers", "n", "k",
                       range(1, max_total + 1), range(1, _layer_width(max_total) + 1),
                       lambda n, k: hooks[n - k + 1][k - 1] if k <= n else 0)

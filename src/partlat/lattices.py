@@ -465,7 +465,15 @@ def build_lattice(variant: str, **params) -> OrbitLattice:
 
 
 def distance(lattice: OrbitLattice, a: str, b: str) -> int | float:
-    """Unweighted shortest-path length; math.inf when disconnected."""
+    """Unweighted shortest-path length; math.inf when disconnected.
+
+    On unit-exchange it is |l - u|_1 / 2 over the padded part vectors (the
+    paper's vector view).  An edge changes two slots by one each, so no path
+    is shorter.  Take l_i > u_i, l_j < u_j, i' the last slot holding l_i, j'
+    the first holding l_j: u decreases weakly, so l_i' > u_i', l_j' < u_j',
+    and a unit moved from i' to j' keeps l sorted and lowers |l - u|_1 by 2.
+    It is an edge (:func:`_unit_moves`, from either end) unless l_j' =
+    l_i' - 1; then u_j' >= l_i' > u_i' puts j' before i', l_j' < l_i' after."""
     start, goal = lattice._node(a), lattice._node(b)
     if start == goal:
         return 0

@@ -162,12 +162,15 @@ def _oracle_uniqueness(top):
     return None
 
 
+def _conjugate_count(a, b, m):  # largest part b and exactly a parts, by the oracle
+    return count(ConstraintRecord(total=m, exact_max_part=b, exact_parts=a))
+
+
 def _oracle_conjugation(top):
     for m in range(1, top + 1):
         for a in range(1, m + 1):
             for b in range(1, m + 1):
-                lhs = count(ConstraintRecord(total=m, exact_max_part=a, exact_parts=b))
-                rhs = count(ConstraintRecord(total=m, exact_max_part=b, exact_parts=a))
+                lhs, rhs = _conjugate_count(b, a, m), _conjugate_count(a, b, m)
                 if lhs != rhs:
                     return f"M={m} a={a} b={b}: {lhs} != {rhs}"
     return None
@@ -281,7 +284,7 @@ def _exact_frame_conjugation(top):
     for m in range(1, top + 1):
         for a in range(1, m + 1):
             for b in range(1, m + 1):
-                if counting.exact_frame(a, b, m) != counting.exact_frame(b, a, m):
+                if counting.exact_frame(a, b, m) != _conjugate_count(a, b, m):
                     return f"({a},{b},{m})"
     return None
 
@@ -478,7 +481,7 @@ def _scheme_symmetry(top):
         t = schemes.build_scheme(m)
         for a in range(1, m + 1):
             for b in range(1, m + 1):
-                if t.cell(a, b) != t.cell(b, a):
+                if t.cell(a, b) != _conjugate_count(a, b, m):
                     return f"scheme {m} cell ({a},{b})"
     return None
 

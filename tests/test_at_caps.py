@@ -141,12 +141,25 @@ def test_matrix_tables_invert_at_the_cap(matrix, inverse):
     assert freivalds_identity(x, a, seed=SIZE_CAP + 1)
 
 
+def exact_parts_counts(total):
+    """Partitions of ``total`` into exactly n parts, n = 1..total, by the
+    corrected recurrence p(m, n) = p(m - 1, n - 1) + p(m - n, n): is there a
+    part 1, or do all n parts lose a unit?"""
+    rows = [[1] + [0] * total]  # rows[m][n], with p(0, 0) = 1
+    for m in range(1, total + 1):
+        rows.append([0] + [rows[m - 1][n - 1] + rows[m - n][n] for n in range(1, m + 1)]
+                    + [0] * (total - m))
+    return tuple(rows[total][1:])
+
+
 def test_scheme_and_its_inverse_at_the_cap():
     """The ``scheme`` table is symmetric under conjugation and counts every
-    partition once, and ``scheme --inverse`` inverts it."""
+    partition once, its column n counts the partitions with exactly n parts,
+    and ``scheme --inverse`` inverts it."""
     numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
     table = schemes.build_scheme(SCHEME_CAP)
     assert table.total == int(numbers.partition(SCHEME_CAP))
+    assert table.col_sums == exact_parts_counts(SCHEME_CAP)
     cells = table.cells
     top = SCHEME_CAP - 1
     assert all(cells[top - a][b] == cells[top - b][a] for a in range(SCHEME_CAP)

@@ -541,6 +541,14 @@ class TestVerifyCommand:
         assert "erratum-confirmed" in text
         assert "pentagonal-vs-rowsum" in text
 
+    def test_pinned_report_bytes(self):
+        # sha256 of `verify --max 14` stdout: every check's name, order and
+        # pass line, and every erratum line.
+        status, text = run_cli("verify", "--max", "14")
+        assert status == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "381353fa200b8cd176f40c61134829f31bda0771258079df3b905e6aba2755d9")
+
     def test_max_out_of_range(self):
         status, _ = run_cli("verify", "--max", "40")
         assert status == 2

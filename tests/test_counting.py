@@ -122,9 +122,11 @@ class TestExactFrame:
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_conjugation_symmetry(self, m):
+        # p_box sorts its bounds, so exact_frame(b, a, m) would run the very
+        # sweep under test; the recursive reference reads the conjugate.
         for a in range(1, m + 1):
             for b in range(1, m + 1):
-                assert counting.exact_frame(a, b, m) == counting.exact_frame(b, a, m)
+                assert counting.exact_frame(a, b, m) == ref_frame(b, a, m)
 
 
 class TestPartiallyRestrictedSums:
@@ -333,11 +335,12 @@ def test_table_widths_match_the_scans():
     """The layer and distinct tables' last columns, now closed forms, equal
     the scan for the last nonzero layer cell and the staircase loop."""
     top = 200
-    # Every layer cell up to top from one hook sweep: cell (n, k) is
-    # hooks[n - k + 1][k - 1].
+    # Every layer cell up to top, with each interior a x b box swept on its
+    # own (no conjugate mirror): cell (n, k) is hooks[n - k + 1][k - 1].
     hooks = [[0] * top for _ in range(top + 1)]
-    for a, b, column in counting._frame_interiors(top):
-        hooks[a + b + 1] = list(map(add, hooks[a + b + 1], column))
+    for a in range(top):
+        for b, column in enumerate(counting._box_columns(a, top - 1 - a, top - 1 - a)):
+            hooks[a + b + 1] = list(map(add, hooks[a + b + 1], column[:top - a - b]))
     last = 0
     for n in range(1, top + 1):
         last = max([last] + [k for k in range(1, n + 1) if hooks[n - k + 1][k - 1]])

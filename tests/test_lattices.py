@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 from array import array
 from collections import Counter
 from collections.abc import Sequence
@@ -503,6 +504,49 @@ class TestNetworkxCrossChecks:
         for a in lat.nodes:
             for b in lat.nodes:
                 assert distance(lat, a, b) == want[a][b], (a, b)
+
+
+def half_l1(lat):
+    """(a, b) -> |a - b|_1 / 2 for labels of ``lat``, over the padded part
+    vectors they spell."""
+    vectors = {label: tuple(map(int, label.split(",") if "," in label else label))
+               for label in lat.nodes}
+    return lambda a, b: sum(map(abs, map(int.__sub__, vectors[a], vectors[b]))) // 2
+
+
+class TestDistanceLaw:
+    """Unit-exchange distance is half the L1 distance of the padded part
+    vectors (proved in ``distance``'s docstring); the bit variants have
+    Hamming closed forms.  The BFS is checked against each."""
+
+    @pytest.fixture
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    @pytest.mark.parametrize("total", range(17))
+    def test_every_pair_through_networkx(self, nx, total):
+        for slots in sorted({1, 2, 3, total, total + 2} - {0}):
+            lat = build_unit_exchange(total, slots)
+            law = half_l1(lat)
+            rows = dict(nx.shortest_path_length(TestNetworkxCrossChecks.graph(nx, lat)))
+            assert len(rows) == lat.node_count
+            for a, row in rows.items():
+                assert row == {b: law(a, b) for b in lat.nodes}, (slots, a)
+
+    def test_seeded_pairs_at_forty_four(self):
+        lat = build_unit_exchange(44, 44)
+        law = half_l1(lat)
+        rng = random.Random(44)
+        for _ in range(10):
+            a, b = rng.sample(lat.nodes, 2)
+            assert distance(lat, a, b) == law(a, b), (a, b)
+
+    @pytest.mark.parametrize("lat,steps", ((build_hypercube(8), 1), (build_subset_swap(8, 4), 2)),
+                             ids=("hypercube-8", "subset-swap-8-4"))
+    def test_bit_variants_by_hamming_distance(self, nx, lat, steps):
+        rows = dict(nx.shortest_path_length(TestNetworkxCrossChecks.graph(nx, lat)))
+        for a in lat.nodes:
+            assert rows[a] == {b: sum(map(str.__ne__, a, b)) // steps for b in lat.nodes}, a
 
 
 class TestPartitionNodeCap:

@@ -175,3 +175,24 @@ def test_bound_scan_sees_nested_raises_and_skips_the_helper(tmp_path):
         ("m", "g", "f'x must be between 0 and {len(x)}'"),
         ("m", "other", "f'part value {k} must be >= 1'"),
     }
+
+
+KERNEL_MOVES = {"_times_binomial", "_divide_one_minus"}
+
+
+def kernel_sweeps(root: Path) -> set[tuple[str, str]]:
+    """(module, function) for each function outside :mod:`partlat.series`,
+    which defines the two box-kernel moves, that names one of them."""
+    found = set()
+    for path in sorted(root.glob("*.py")):
+        if path.stem == "series":
+            continue
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    references(func).keys() & KERNEL_MOVES):
+                found.add((path.stem, func.name))
+    return found
+
+
+def test_one_box_kernel_sweep():
+    assert kernel_sweeps(SOURCE) == {("counting", "_box_columns")}

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from partlat import lattices, schemes, verify
+from partlat import counting, lattices, schemes, verify
 from partlat.partitions import MultiplicityVector
 
 
@@ -101,6 +101,37 @@ def test_scheme_unitriangular_names_a_broken_row(monkeypatch, cell, row):
     assert names_failure("scheme-unitriangular") is None
     monkeypatch.setattr(schemes, "build_scheme", broken)
     assert names_failure("scheme-unitriangular") == f"scheme 9 row {row}"
+
+
+# A corruption that keeps conjugation symmetry: frame (2, 3) and (3, 2) at
+# total 9 both off by one.  Comparing each value with its own conjugate
+# cannot see it; the oracle's conjugate count does.
+SYMMETRIC_PAIR = {(2, 3), (3, 2)}
+
+
+def test_exact_frame_conjugation_names_a_symmetric_off_by_one(monkeypatch):
+    frame = counting.exact_frame
+    assert names_failure("exact-frame-conjugation") is None
+    monkeypatch.setattr(counting, "exact_frame",
+                        lambda a, b, m: frame(a, b, m) + (m == 9 and (a, b) in SYMMETRIC_PAIR))
+    assert names_failure("exact-frame-conjugation") == "(2,3,9)"
+
+
+def test_scheme_symmetry_names_a_symmetric_off_by_one(monkeypatch):
+    build = schemes.build_scheme
+
+    def broken(total):
+        table = build(total)
+        if total != 9:
+            return table
+        cells = [list(r) for r in table.cells]
+        for m1, n in SYMMETRIC_PAIR:
+            cells[total - m1][n - 1] += 1
+        return replace(table, cells=tuple(map(tuple, cells)))
+
+    assert names_failure("scheme-symmetry") is None
+    monkeypatch.setattr(schemes, "build_scheme", broken)
+    assert names_failure("scheme-symmetry") == "scheme 9 cell (2,3)"
 
 
 def test_the_exhaustive_cross_check_reads_every_total_verify_accepts():
