@@ -17,6 +17,7 @@ library's own caps (`oracle.TOTAL_CAP`, the lattice caps,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from typing import Callable, NamedTuple
@@ -332,7 +333,16 @@ def run(argv: list[str], out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``partlat ... | head``).  Point stdout at
+        # devnull, so that the flush at exit cannot fail again, and exit 1
+        # with nothing on stderr.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ definition:
 - unit count j: the other parts are at least 2, in the slots the j ones
   leave, and the ones are appended;
 - hook frame h: a first part a takes exactly h - a + 1 parts;
-- layer k: the hook frame total - k + 1, for total >= 1.
+- layer k: the hook frame total - k + 1, for total >= 1 (nothing, when a
+  hook frame is set too and disagrees).
 
 Mixed parity cannot be pruned by value and is only a filter, one C-level
 pass over the parts' residues; at total 0 every field is only a filter.
@@ -24,24 +25,31 @@ layer, hook frame) is still a filter on the finished tuple, built once per
 record from the fields the record sets, so the pruning can only skip tuples
 a filter would reject.
 
-``count`` and ``classify`` consume the stream and build no list and no
+``classify`` consumes the stream and builds no list and no
 :class:`Partition`; ``enumerate_partitions`` wraps the same stream and
 builds each :class:`Partition` without re-checking the walk's tuples.
+
+``count`` walks nothing: a table filled bottom-up from the bounds the walk
+reads (``_plan``) counts the walk's tuples.  Mixed parity is the
+plain count less the all-odd and all-even ones, for a total of at least 1;
+when only unit parts are left to place (total 0 included), the one
+candidate tuple goes through the filters.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
-from typing import Iterable, Iterator
+from dataclasses import dataclass, fields, replace
+from operator import add
+from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import Partition, require_ints
 
 PARITY_CHOICES = ("none", "all-odd", "all-even", "mixed", "distinct")
 
 # Enumeration above this total is refused outright: p(80) is 15.8 million
-# partitions (a streamed count takes about 13 s), and a typo should not
-# take down CI.
+# partitions (walking them all takes about 10 s; ``count`` reads them from a
+# table in about a millisecond), and a typo should not take down CI.
 TOTAL_CAP = 80
 
 @dataclass(frozen=True)
@@ -236,17 +244,72 @@ def _walk(total: int, hi: int, lo: int, slots: int, exact: bool, step: int = 1,
         v = x - step
 
 
-def _first_fixed(total: int, firsts: Iterable[int], lo: int, slots: int, exact: bool, step: int,
-                 gap: int, frame: int | None) -> Iterator[tuple[int, ...]]:
-    """Partitions of ``total`` whose first part is drawn from ``firsts``
-    (largest first), the rest walked below it; with ``frame`` set, exactly
-    ``frame - first + 1`` parts, the hook frame of such a partition."""
-    for a in firsts:
-        n = slots if frame is None else frame - a + 1
-        if 1 <= n <= slots and (n == slots or not exact):
-            for tail in _walk(total - a, a - gap, lo, n - 1, exact or frame is not None, step,
-                              gap):
-                yield (a,) + tail
+class _Plan(NamedTuple):
+    """What the walk and the table read from a record: partitions of
+    ``total`` into parts lo, lo + step, ... up to ``hi``, each at least
+    ``gap`` below the one before, at most ``slots`` of them (exactly
+    ``slots`` when ``exact``).  With ``firsts`` set, the first part is
+    drawn from it, and a ``frame`` fixes the part count by the first part;
+    ``ones`` unit parts are appended to each tuple."""
+
+    total: int
+    hi: int
+    lo: int
+    step: int
+    gap: int
+    slots: int
+    exact: bool
+    firsts: Sequence[int] | None
+    frame: int | None
+    ones: int
+
+
+def _plan(c: ConstraintRecord) -> _Plan | None:
+    """``c``'s bounds and pruned fields as one :class:`_Plan`, or None when
+    they admit no tuple."""
+    lo, step = max(c.min_part or 1, 1), 1
+    if c.parity in ("all-odd", "all-even"):
+        # Every other value, from ``lo`` rounded up to the parity.
+        lo += (lo + (c.parity == "all-odd")) % 2
+        step = 2
+    gap = int(c.parity == "distinct")
+    total, hi, slots, exact = c.total, c.largest_bound, c.slot_bound, c.exact_parts is not None
+    frame = c.hook_frame
+    if total and c.layer is not None:
+        # A nonempty partition's layer is its total - hook frame + 1.
+        if frame is None:
+            frame = total - c.layer + 1
+        elif frame != total - c.layer + 1:
+            return None
+    ones = 0
+    if c.unit_count is not None:
+        ones = c.unit_count
+        # The ones take their slots, and need 1 to be an allowed value.
+        if ones > min(total, slots) or ones and (lo > 1 or hi < 1 or ones > 1 and gap):
+            return None
+        total, slots = total - ones, slots - ones
+        if frame is not None:
+            frame -= ones
+        if lo == 1:
+            lo += step
+    firsts = None
+    if total and (frame is not None or c.exact_max_part is not None):
+        top = min(hi, total)
+        firsts = range(top - (top - lo) % step, lo - 1, -step)
+        if c.exact_max_part is not None:
+            firsts = [c.exact_max_part] if c.exact_max_part in firsts else []
+    return _Plan(total, hi, lo, step, gap, slots, exact, firsts, frame, ones)
+
+
+def _heads(p: _Plan) -> Iterator[tuple[int, int, bool]]:
+    """(first part a, slots after it, whether they must all be filled) for
+    each first part ``p.firsts`` allows, largest first; with a frame, a
+    takes exactly ``frame - a + 1`` parts, the hook frame of such a
+    partition."""
+    for a in p.firsts:
+        n = p.slots if p.frame is None else p.frame - a + 1
+        if 1 <= n <= p.slots and (n == p.slots or not p.exact):
+            yield a, n - 1, p.exact or p.frame is not None
 
 
 def _pruned_walk(c: ConstraintRecord) -> Iterator[tuple[int, ...]]:
@@ -257,46 +320,108 @@ def _pruned_walk(c: ConstraintRecord) -> Iterator[tuple[int, ...]]:
     With a unit count j, the walk covers the other parts, and the ones are
     appended to each tuple.
     """
-    lo, step = max(c.min_part or 1, 1), 1
-    if c.parity in ("all-odd", "all-even"):
-        # Every other value, from ``lo`` rounded up to the parity.
-        lo += (lo + (c.parity == "all-odd")) % 2
-        step = 2
-    gap = int(c.parity == "distinct")
-    total, hi, slots, exact = c.total, c.largest_bound, c.slot_bound, c.exact_parts is not None
-    frame = c.hook_frame
-    if frame is None and c.layer is not None and total:
-        frame = total - c.layer + 1
-    ones = 0
-    if c.unit_count is not None:
-        ones = c.unit_count
-        # The ones take their slots, and need 1 to be an allowed value.
-        if ones > min(total, slots) or ones and (lo > 1 or hi < 1 or ones > 1 and gap):
-            return iter(())
-        total, slots = total - ones, slots - ones
-        if frame is not None:
-            frame -= ones
-        if lo == 1:
-            lo += step
-    if total and (frame is not None or c.exact_max_part is not None):
-        top = min(hi, total)
-        firsts = range(top - (top - lo) % step, lo - 1, -step)
-        if c.exact_max_part is not None:
-            firsts = [c.exact_max_part] if c.exact_max_part in firsts else []
-        stream = _first_fixed(total, firsts, lo, slots, exact, step, gap, frame)
+    p = _plan(c)
+    if p is None:
+        return iter(())
+    if p.firsts is None:
+        stream = _walk(p.total, p.hi, p.lo, p.slots, p.exact, p.step, p.gap)
     else:
-        stream = _walk(total, hi, lo, slots, exact, step, gap)
-    if ones:
-        tail = (1,) * ones
+        stream = ((a,) + tail for a, slots, full in _heads(p)
+                  for tail in _walk(p.total - a, a - p.gap, p.lo, slots, full, p.step, p.gap))
+    if p.ones:
+        tail = (1,) * p.ones
         stream = (parts + tail for parts in stream)
     return stream
+
+
+def _any_parts(m: int, values: range, gap: int) -> int:
+    """Partitions of m into any number of parts from ``values``, each used
+    once when ``gap``: one row over the totals, one slice add per value."""
+    row = [1] + [0] * m
+    for a in values:
+        if gap:
+            row[a:] = map(add, row[a:], row[:m + 1 - a])
+        else:
+            # Each block of a totals adds the block below it, already final.
+            for start in range(a, m + 1, a):
+                row[start:start + a] = map(add, row[start:start + a], row[start - a:start])
+    return row[m]
+
+
+def _k_parts(reads: list[tuple[int, int, bool, int]], lo: int, step: int, gap: int) -> int:
+    """The sum over ``reads`` (w, k, full, m) of the partitions of m into
+    parts lo, lo + step, ... up to w, exactly k of them when ``full`` and at
+    most k otherwise, each used once when ``gap``.
+
+    The values are added in ascending order, and each read is taken once
+    the values up to its w are in.  Row j of ``f`` counts the totals from
+    j * lo up into exactly j parts from the values added so far; adding
+    value a is one slice add per row, ascending j for repeated parts and
+    descending j for distinct ones.  A row stops at the largest total a
+    read needs from it or the values can reach.
+    """
+    top = max(m for _, _, _, m in reads)
+    rows = min(max(k for _, k, _, _ in reads), top // lo)
+    vmax = max(min(w, m - (k - 1) * lo if full else m) for w, k, full, m in reads)
+    slack = max(m - k * lo if full else m for _, k, full, m in reads)
+    f = [[0] * (min(slack, j * (vmax - lo), top - j * lo) + 1) for j in range(rows + 1)]
+    f[0][0] = 1
+
+    def read(w: int, k: int, full: bool, m: int) -> int:
+        ks = (k,) if full else range(min(k, rows) + 1)
+        return sum(f[j][m - j * lo] for j in ks if 0 <= m - j * lo < len(f[j]))
+
+    answer = 0
+    reads = sorted(reads, reverse=True)  # the next read due is the last
+    for a in range(lo, vmax + 1, step):
+        while reads and reads[-1][0] < a:
+            answer += read(*reads.pop())
+        for j in (range(rows, 0, -1) if gap else range(1, rows + 1)):
+            row, below = f[j], f[j - 1]
+            end = a - lo + len(below)
+            row[a - lo:end] = map(add, row[a - lo:end], below)
+    return answer + sum(read(*r) for r in reads)
+
+
+def _tabled(c: ConstraintRecord) -> int:
+    """How many matches ``c`` has, for any parity but mixed, counted from
+    tables filled bottom-up instead of walked: the walk is partitions of m
+    into parts up to w, exactly or at most k of them, once for the whole
+    walk or once for the tail after each first part."""
+    p = _plan(c)
+    if p is None:
+        return 0
+    if not p.total:
+        # Only the ones are left: one candidate tuple, which the filters judge.
+        return sum(1 for _ in iter_parts(c))
+    lo, step, gap = p.lo, p.step, p.gap
+    if p.firsts is None:
+        reads = [(p.hi, p.slots, p.exact, p.total)]
+    else:
+        reads = [(a - gap, k, full, p.total - a) for a, k, full in _heads(p)]
+    # An empty tail fills once; of the rest, keep what k parts from lo to w
+    # can fill.
+    empty = sum(m == 0 and (k == 0 or not full) for _, k, full, m in reads)
+    reads = [(w, k, full, m) for w, k, full, m in reads
+             if 0 < m <= k * w and lo <= w and (m >= k * lo or not full)]
+    if not reads:
+        return empty
+    w, k, full, m = reads[0]
+    if len(reads) == 1 and not full and k * lo >= m:
+        # No slot bound binds.
+        return empty + _any_parts(m, range(lo, min(w, m) + 1, step), gap)
+    return empty + _k_parts(reads, lo, step, gap)
+
+
+def _refuse_past_cap(c: ConstraintRecord) -> None:
+    if c.total > TOTAL_CAP:
+        raise ValueError(f"total {c.total} exceeds the enumeration cap {TOTAL_CAP}")
 
 
 def iter_parts(c: ConstraintRecord) -> Iterator[tuple[int, ...]]:
     """Nonzero part tuples of every matching partition, once each, in
     decreasing lexicographic order, generated lazily."""
-    if c.total > TOTAL_CAP:
-        raise ValueError(f"total {c.total} exceeds the enumeration cap {TOTAL_CAP}")
+    _refuse_past_cap(c)
     stream = _pruned_walk(c)
     for keep in _filters(c):
         stream = filter(keep, stream)
@@ -311,7 +436,17 @@ def enumerate_partitions(c: ConstraintRecord) -> list[Partition]:
 
 
 def count(c: ConstraintRecord) -> int:
-    return sum(1 for _ in iter_parts(c))
+    """How many partitions match ``c``, counted without walking them.
+
+    A nonempty partition is exactly one of all-odd, all-even and mixed, so
+    the mixed count is the plain count less the other two, with every other
+    field the same.
+    """
+    _refuse_past_cap(c)
+    if c.parity == "mixed" and c.total:
+        return (_tabled(replace(c, parity="none")) - _tabled(replace(c, parity="all-odd"))
+                - _tabled(replace(c, parity="all-even")))
+    return _tabled(c)
 
 
 def classify(c: ConstraintRecord, key: str) -> dict:

@@ -4,9 +4,10 @@ Row and column keys are usually ints (totals, part counts) but may be
 strings for composite tables that carry their own sum columns.  Output is
 deterministic so it can be diffed and parsed back.
 
-:meth:`CountTable.export` streams each format in chunks of ``_CHUNK`` rows
-(json: encoder pieces), so a large table is never held as one string; the
-json text is ``json.dumps(table.to_json_dict(), indent=2)`` and a newline.
+:meth:`CountTable.export` streams each format in chunks of about ``_CHUNK``
+cells (json: encoder pieces), so a large table is never held as one string,
+however wide; the json text is ``json.dumps(table.to_json_dict(), indent=2)``
+and a newline.
 Lattice exports cut their node and edge chunks with the same ``_slices``.
 """
 
@@ -89,7 +90,9 @@ class CountTable:
         yield start + sep.join(map(str, head)) + end
         if fmt == "md":
             yield "|" + " --- |" * len(head) + "\n"
-        for keys, rows in zip(_slices(self.rows), _slices(self.cells)):
+        # About ``_CHUNK`` cells per chunk, however wide the table.
+        size = max(1, _CHUNK // len(head))
+        for keys, rows in zip(_slices(self.rows, size), _slices(self.cells, size)):
             yield "".join([start + sep.join(map(str, (key, *row, sum(row)) if sums else (key, *row)))
                            + end for key, row in zip(keys, rows)])
         if sums:
@@ -132,8 +135,10 @@ def _key(text: str) -> Key:
         return text
 
 
-def _slices(items: Sequence) -> Iterator[Sequence]:
-    return (items[start:start + _CHUNK] for start in range(0, len(items), _CHUNK))
+def _slices(items: Sequence, size: int | None = None) -> Iterator[Sequence]:
+    """``items`` in slices of ``size`` (default ``_CHUNK``) items."""
+    size = size or _CHUNK
+    return (items[start:start + size] for start in range(0, len(items), size))
 
 
 def grid_table(name: str, row_label: str, col_label: str,

@@ -3,7 +3,8 @@ another way.
 
 The oracle stops at total 80, but ``table --max`` runs to 200, the box to
 100 x 100, the matrix tables to ``--size 500``, ``scheme`` to 400 and
-``series --order`` to 1500; these checks read the tables and series there.
+``series --order`` to 1500; these checks read the tables and series there,
+and the oracle's count at 80.
 """
 
 import argparse
@@ -13,7 +14,7 @@ from itertools import accumulate
 
 import pytest
 
-from partlat import cli, counting, intmatrix, schemes, series
+from partlat import cli, counting, intmatrix, oracle, schemes, series
 
 CAP = 200
 BOX_EDGE = BOX_DIM = 100
@@ -61,6 +62,33 @@ def test_signed_difference_is_minus_the_euler_coefficient(distinct):
 def test_p_column_is_sympys_partition_number(odd_even, partition_numbers):
     assert odd_even.column("p") == partition_numbers[1:]
     assert all(sum(row[-4:-1]) == row[-1] for row in odd_even.cells)
+
+
+@pytest.fixture(scope="module")
+def parity_counts_at_80(partition_numbers):
+    """Each parity's count at total 80: distinct parts from sympy's expanded
+    product of the 1 + t^k, as many all-odd (Euler), all-even a partition
+    of 40 doubled, and mixed the rest."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    product = sympy.Poly(1, t)
+    for k in range(1, 81):
+        product *= sympy.Poly(1 + t**k, t)
+    distinct = int(product.coeff_monomial(t**80))
+    plain, even = partition_numbers[80], partition_numbers[40]
+    return {"none": plain, "all-odd": distinct, "all-even": even,
+            "mixed": plain - distinct - even, "distinct": distinct}
+
+
+@pytest.mark.parametrize("parity", oracle.PARITY_CHOICES)
+def test_oracle_count_at_its_cap_is_sympys(monkeypatch, parity_counts_at_80, parity):
+    def no_walk(*args):
+        raise AssertionError("count walked the partitions")
+
+    monkeypatch.setattr(oracle, "_walk", no_walk)
+    assert oracle.TOTAL_CAP == 80
+    assert oracle.count(oracle.ConstraintRecord(total=80, parity=parity)) == \
+        parity_counts_at_80[parity]
 
 
 @pytest.mark.parametrize("build", (counting.exact_table, counting.unit_diff_table,

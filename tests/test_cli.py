@@ -10,7 +10,7 @@ from dataclasses import fields
 import pytest
 
 from partlat import cli, oracle, tables
-from partlat.counting import atmost_table, exact_table, odd_even_mixed_table, p, p_box
+from partlat.counting import atmost_table, box_table, exact_table, odd_even_mixed_table, p, p_box
 from partlat.schemes import build_scheme
 from partlat.tables import CountTable
 
@@ -110,6 +110,14 @@ class TestTableCommand:
             assert "".join(chunks) == export_reference(table)[fmt], table.name
             if fmt != "json":
                 assert max(c.count("\n") for c in chunks) <= chunk
+
+    @pytest.mark.parametrize("fmt", ("tsv", "csv", "md"))
+    def test_wide_export_chunks_by_cells(self, monkeypatch, fmt):
+        monkeypatch.setattr(tables, "_CHUNK", 64)
+        table = box_table(12, 30)  # 15 cells a line with the key and sum: 4 lines a chunk
+        chunks = list(table.export(fmt))
+        assert "".join(chunks) == export_reference(table)[fmt]
+        assert max(c.count("\n") for c in chunks) == 4
 
     def test_export_refuses_an_unknown_format(self):
         with pytest.raises(ValueError, match="unknown table format 'xml'"):
@@ -595,3 +603,17 @@ def test_usage_error_exit_code():
         [sys.executable, "-m", "partlat.cli", "frobnicate"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [("table", "exact", "--max", "200"),
+                                  ("count", "--total", "36", "--list")])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    """``partlat ... | head -1``: the reader closes the pipe after one line."""
+    proc = subprocess.Popen([sys.executable, "-m", "partlat.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first and stderr == b""

@@ -315,13 +315,13 @@ class TestLayers:
         assert all(counting.diagonal_sum(d) == 2 ** (d - 1) for d in range(1, 31))
 
 
-# Records at the oracle's cap that the oracle's pruning walks in well under a
-# second, each with the counting function it must agree with.
+# Every value of each pruned field at the oracle's cap, which the oracle counts
+# in milliseconds, each with the counting function it must agree with.
 AT_THE_CAP = (
-    [("layer", k, lambda k: counting.layer_count(80, k)) for k in range(1, 7)]
-    + [("exact_max_part", a, lambda a: counting.p_exact(80, a)) for a in range(30, 81, 5)]
-    + [("hook_frame", h, lambda h: counting.layer_count(80, 81 - h)) for h in range(1, 21)]
-    + [("unit_count", j, lambda j: counting.unit_diff_cell(80, j)) for j in range(60, 81)]
+    [("layer", k, lambda k: counting.layer_count(80, k)) for k in range(82)]
+    + [("exact_max_part", a, lambda a: counting.p_exact(80, a)) for a in range(82)]
+    + [("hook_frame", h, lambda h: counting.layer_count(80, 81 - h)) for h in range(82)]
+    + [("unit_count", j, lambda j: counting.unit_diff_cell(80, j)) for j in range(82)]
 )
 
 

@@ -1,5 +1,6 @@
 """The lower layers never import the graph or verification modules, not
-even through a deferred import inside a function."""
+even through a deferred import inside a function, and the oracle imports
+no counting formula."""
 
 import ast
 from collections import Counter
@@ -32,6 +33,12 @@ def imported_modules(path: Path) -> set[str]:
 def test_lower_layers_do_not_import_upper(path):
     if path.stem in LOWER:
         assert not imported_modules(path) & UPPER
+
+
+def test_oracle_imports_no_counting_formula():
+    """The ground truth stays independent of what it checks: of partlat, the
+    oracle imports only the partition type."""
+    assert imported_modules(SOURCE / "oracle.py") <= {"partitions"}
 
 
 def test_import_scan_sees_relative_and_deferred_imports(tmp_path):
