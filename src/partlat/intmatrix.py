@@ -7,20 +7,17 @@ floating point, no general elimination.
 
 Products and inverses build each output row as an integer combination of
 other rows: row i of A·B is sum_k A[i][k]·B[k], and row i of X = A⁻¹ is
-e_i − sum_{k<i} A[i][k]·X[k].  Each of those rows is packed into one Python
-int, P = sum_j x_j·2^(W·j) (Kronecker substitution), so a row is one C-level
-sum of bigint-by-int products, and the packing is linear: the packed sum is
-the packed row of the sum, whatever W is.  Reading the row back out of its
-W-bit slots is exact when every entry has |x| < 2^(W−1); each kernel takes
-W from a bound on its entries proved before the row is formed.
+e_i − sum_{k<i} A[i][k]·X[k].  Each row is packed into one int by the
+packed-integer kernel of :mod:`partlat.series`, so a row is one C-level sum
+of bigint-by-int products, in slots whose width W comes from a bound on its
+entries proved before the row is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import add, and_, lshift, mul, rshift
-from struct import Struct
+from itertools import chain
+from operator import mul
 from typing import Callable, Sequence
 
 from . import counting, schemes, series
@@ -68,53 +65,6 @@ def identity(n: int) -> IntMatrix:
 
 # -- the packed-row kernel -----------------------------------------------------
 
-_WORD = 64
-_WORD_MASK = (1 << _WORD) - 1
-
-
-def _slot_width(bound: int) -> int:
-    """The least multiple of 64 bits W with bound < 2^(W−1): signed W-bit
-    slots then hold every entry of absolute value at most ``bound``."""
-    return _WORD * (bound.bit_length() // _WORD + 1)
-
-
-def _peak(row: Sequence[int]) -> int:
-    return max(map(abs, row)) if row else 0
-
-
-class _Slots:
-    """Rows of ``count`` ints, each entry in a signed ``width``-bit slot of
-    one packed int.  A slot is read as 64-bit little-endian words, the top
-    one signed, so the layout does not depend on the host's byte order.
-
-    ``offset`` holds 2^(W−1) in every slot.  Adding it to a packed row makes
-    every slot x + 2^(W−1), in 0..2^W − 1, so no slot borrows from the next;
-    XOR with it then flips each slot's top bit, which leaves x in W-bit
-    two's complement.  Packing runs the same two steps backwards."""
-
-    def __init__(self, count: int, width: int):
-        self.words = width // _WORD
-        self.offset = ((1 << width * count) - 1) // ((1 << width) - 1) << (width - 1)
-        self.struct = Struct("<" + ("Q" * (self.words - 1) + "q") * count)
-
-    def pack(self, row: Sequence[int]) -> int:
-        top = self.words - 1
-        if top:
-            low = [map(and_, map(rshift, row, repeat(_WORD * t)), repeat(_WORD_MASK))
-                   for t in range(top)]
-            row = chain.from_iterable(zip(*low, map(rshift, row, repeat(_WORD * top))))
-        return (int.from_bytes(self.struct.pack(*row), "little") ^ self.offset) - self.offset
-
-    def unpack(self, packed: int) -> tuple[int, ...]:
-        fields = self.struct.unpack(
-            ((packed + self.offset) ^ self.offset).to_bytes(self.struct.size, "little"))
-        w = self.words
-        row = fields[w - 1::w]
-        for t in range(w - 2, -1, -1):
-            row = map(add, map(lshift, row, repeat(_WORD)), fields[t::w])
-        return tuple(row)
-
-
 def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """A·B with row i packed as sum_k A[i][k]·P_k, where P_k is row k of B
     packed.  Every entry of row i is at most sum_k |A[i][k]|·max|B[k]| in
@@ -122,10 +72,10 @@ def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     holds the larger of the two."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    peaks = [_peak(row) for row in b.entries]
+    peaks = [series._peak(row) for row in b.entries]
     bound = max(chain(peaks, (sum(map(mul, map(abs, row), peaks)) for row in a.entries)),
                 default=0)
-    slots = _Slots(b.cols, _slot_width(bound))
+    slots = series._Slots(b.cols, series._slot_width(bound))
     packed = [slots.pack(row) for row in b.entries]
     return IntMatrix._trusted(tuple(slots.unpack(sum(map(mul, row, packed))) for row in a.entries))
 
@@ -163,13 +113,13 @@ def _invert_lower(entries: tuple[tuple[int, ...], ...]) -> IntMatrix:
     for i, row in enumerate(entries):
         bound = 1 + sum(map(mul, map(abs, row), peaks))
         if bound.bit_length() >= width:
-            width = _slot_width(bound)
-            slots = _Slots(n, width)
+            width = series._slot_width(bound)
+            slots = series._Slots(n, width)
             packed = [slots.pack(x) for x in inv]
         p = (1 << width * i) - sum(map(mul, row, packed))
         x = slots.unpack(p)
         inv.append(x)
-        peaks.append(_peak(x))
+        peaks.append(series._peak(x))
         packed.append(p)
     return IntMatrix._trusted(tuple(inv))
 

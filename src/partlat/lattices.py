@@ -290,14 +290,13 @@ def _partition_nodes(total: int, slots: int) -> dict[bytes, str]:
     p_atmost(j, n)."""
     require_ints("total", total, low=0)
     require_ints("slots", slots, low=1)
-    if total > oracle.TOTAL_CAP:
-        raise ValueError(f"total {total} exceeds the enumeration cap {oracle.TOTAL_CAP}")
+    stream = oracle.iter_parts(oracle.ConstraintRecord(total=total, max_parts=slots))
     columns = list(counting._box_columns(total, min(slots, total), total))
     rest = columns[min(slots - 2, total)] if slots > 1 else [0] * (total + 1)
     _check_size(columns[-1][total], sum(k // 2 * rest[total - k] for k in range(2, total + 1)))
     _check_width(slots)
     nodes = {}
-    for parts in oracle.iter_parts(oracle.ConstraintRecord(total=total, max_parts=slots)):
+    for parts in stream:
         padded = bytes(parts) + bytes(slots - len(parts))
         nodes[padded] = label_of(padded)
     return nodes

@@ -9,14 +9,21 @@ moves on a coefficient list, each a few C-level slice operations:
 multiplying by 1 -/+ t^k (:func:`_times_binomial`) and dividing by 1 - t^k
 (:func:`_divide_one_minus`), as in the Gaussian-polynomial kernel of
 :mod:`partlat.counting` (Andrews, *The Theory of Partitions*, ch. 3).
+
+Series products and the matrix rows of :mod:`partlat.intmatrix` share one
+packed-integer kernel (:class:`_Slots`, Kronecker substitution): a list
+packed as P = sum_j x_j·2^(W·j) is its series at t = 2^W, so one C-level
+bigint product packs the product of two lists, and a sum of packed rows
+packs their sum.  Reading the W-bit slots back is exact when every entry has
+|x| < 2^(W−1); each caller takes W from a bound proved before the product.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add, sub
+from itertools import accumulate, chain, repeat
+from operator import add, and_, lshift, rshift, sub
+from struct import Struct
 from typing import Sequence
 
 from .partitions import require_ints
@@ -42,10 +49,53 @@ def _divide_one_minus(c: list[int], k: int) -> None:
             c[start:start + k] = map(add, c[start:start + k], c[start - k:start])
 
 
-def _nonzero(coefficients: Sequence[int], order: int) -> list[tuple[int, int]]:
-    """The (index, coefficient) pairs with a nonzero coefficient up to
-    ``order``, by increasing index."""
-    return [(i, c) for i, c in enumerate(coefficients[: order + 1]) if c]
+# -- the packed-integer kernel --------------------------------------------------
+
+_WORD = 64
+_WORD_MASK = (1 << _WORD) - 1
+
+
+def _slot_width(bound: int) -> int:
+    """The least multiple of 64 bits W with bound < 2^(W−1): signed W-bit
+    slots then hold every entry of absolute value at most ``bound``."""
+    return _WORD * (bound.bit_length() // _WORD + 1)
+
+
+def _peak(row: Sequence[int]) -> int:
+    return max(map(abs, row)) if row else 0
+
+
+class _Slots:
+    """Rows of ``count`` ints, each entry in a signed ``width``-bit slot of
+    one packed int.  A slot is read as 64-bit little-endian words, the top
+    one signed, so the layout does not depend on the host's byte order.
+
+    ``offset`` holds 2^(W−1) in every slot.  Adding it to a packed row makes
+    every slot x + 2^(W−1), in 0..2^W − 1, so no slot borrows from the next;
+    XOR with it then flips each slot's top bit, which leaves x in W-bit
+    two's complement.  Packing runs the same two steps backwards."""
+
+    def __init__(self, count: int, width: int):
+        self.words = width // _WORD
+        self.offset = ((1 << width * count) - 1) // ((1 << width) - 1) << (width - 1)
+        self.struct = Struct("<" + ("Q" * (self.words - 1) + "q") * count)
+
+    def pack(self, row: Sequence[int]) -> int:
+        top = self.words - 1
+        if top:
+            low = [map(and_, map(rshift, row, repeat(_WORD * t)), repeat(_WORD_MASK))
+                   for t in range(top)]
+            row = chain.from_iterable(zip(*low, map(rshift, row, repeat(_WORD * top))))
+        return (int.from_bytes(self.struct.pack(*row), "little") ^ self.offset) - self.offset
+
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        fields = self.struct.unpack(
+            ((packed + self.offset) ^ self.offset).to_bytes(self.struct.size, "little"))
+        w = self.words
+        row = fields[w - 1::w]
+        for t in range(w - 2, -1, -1):
+            row = map(add, map(lshift, row, repeat(_WORD)), fields[t::w])
+        return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -70,22 +120,18 @@ class TruncatedSeries:
         return self.coefficients[n]
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Product truncated to the smaller order.
-
-        Only nonzero terms are multiplied, the sparser operand in the outer
-        loop, so the cost grows with the product of the two nonzero counts:
-        O(T * nnz) for a binomial or geometric factor.
-        """
+        """Product truncated to the smaller order T, as one product of packed
+        ints: both operands are padded to 2T + 1 slots, so no coefficient of
+        the full product, of degree at most 2T, wraps into another.  Each of
+        those is a sum of at most T + 1 products, so it is at most
+        (T + 1)·max|a|·max|b| in absolute value; the slots also hold the
+        operands' own entries, which that bound misses when one is zero."""
         T = min(self.order, other.order)
-        a, b = _nonzero(self.coefficients, T), _nonzero(other.coefficients, T)
-        if len(a) > len(b):
-            a, b = b, a
-        b_index = [j for j, _ in b]
-        out = [0] * (T + 1)
-        for i, x in a:
-            for j, y in b[: bisect_right(b_index, T - i)]:
-                out[i + j] += x * y
-        return TruncatedSeries(tuple(out))
+        a, b = self.coefficients[:T + 1], other.coefficients[:T + 1]
+        peak_a, peak_b = _peak(a), _peak(b)
+        slots = _Slots(2 * T + 1, _slot_width(max(peak_a, peak_b, (T + 1) * peak_a * peak_b)))
+        pad = (0,) * T
+        return TruncatedSeries(slots.unpack(slots.pack(a + pad) * slots.pack(b + pad))[:T + 1])
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the truncation order.
@@ -98,7 +144,7 @@ class TruncatedSeries:
         if c0 not in (1, -1):
             raise ValueError(f"constant term {c0} is not a unit")
         T = self.order
-        terms = _nonzero(self.coefficients, T)[1:]
+        terms = [(k, c) for k, c in enumerate(self.coefficients[1:], 1) if c]
         inv = [0] * (T + 1)
         inv[0] = c0
         for n in range(1, T + 1):

@@ -119,6 +119,28 @@ class TestTableCommand:
         assert "".join(chunks) == export_reference(table)[fmt]
         assert max(c.count("\n") for c in chunks) == 4
 
+    @pytest.mark.parametrize("rows,cols,message", (
+        ((0, 1), (0,), "cell grid height != number of rows"),
+        ((0,), (0, 1), "cell grid width != number of columns"),
+    ))
+    def test_refuses_a_grid_of_the_wrong_shape(self, rows, cols, message):
+        with pytest.raises(ValueError, match=message):
+            CountTable("t", "m", "n", rows, cols, ((1,),))
+
+    @pytest.mark.parametrize("key", ("row_sums", "col_sums"))
+    def test_from_json_checks_the_sums(self, key):
+        d = exact_table(4).to_json_dict()
+        d[key][-1] += 1
+        with pytest.raises(ValueError, match="stored sums disagree with cells"):
+            CountTable.from_json(json.dumps(d))
+
+    def test_string_keys_round_trip(self):
+        table = odd_even_mixed_table(7)
+        text = "".join(table.export("tsv"))
+        parsed = CountTable.parse_delimited(text, "\t", name="odd-even-mixed", has_sums=False)
+        assert parsed == table
+        assert parsed.cols[-4:] == ("odd", "even", "mixed", "p")
+
     def test_export_refuses_an_unknown_format(self):
         with pytest.raises(ValueError, match="unknown table format 'xml'"):
             list(exact_table(4).export("xml"))
@@ -334,8 +356,11 @@ class TestLatticeCommand:
     ))
     def test_over_cap_partition_lattice_draws_nothing(self, monkeypatch, capsys,
                                                       variant, total, message):
+        real = cli.lattices.oracle.iter_parts
+
         def iter_parts(record):
-            raise AssertionError("a partition was drawn")
+            stream = real(record)  # the call refuses a total past the enumeration cap
+            return (pytest.fail("a partition was drawn") for _ in stream)
 
         monkeypatch.setattr(cli.lattices.oracle, "iter_parts", iter_parts)
         status, text = run_cli("lattice", "--variant", variant, "--total", total)

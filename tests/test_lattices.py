@@ -21,9 +21,11 @@ from partlat.lattices import (
 )
 
 
-def node_parts(total):
-    """{label: padded part tuple} for the partition lattices of ``total``."""
-    return {label: tuple(parts) for parts, label in lattices._partition_nodes(total, total).items()}
+def node_parts(total, slots=None):
+    """{label: padded part tuple} for the partition lattices of ``total`` in
+    ``slots`` slots (default ``total``)."""
+    nodes = lattices._partition_nodes(total, total if slots is None else slots)
+    return {label: tuple(parts) for parts, label in nodes.items()}
 
 
 class TestUnitExchange:
@@ -514,6 +516,12 @@ def half_l1(lat):
     return lambda a, b: sum(map(abs, map(int.__sub__, vectors[a], vectors[b]))) // 2
 
 
+@pytest.fixture(scope="module")
+def unit_exchange_44():
+    """unit-exchange(44, 44), built once for the module: 75175 nodes."""
+    return build_unit_exchange(44, 44)
+
+
 class TestDistanceLaw:
     """Unit-exchange distance is half the L1 distance of the padded part
     vectors (proved in ``distance``'s docstring); the bit variants have
@@ -533,8 +541,8 @@ class TestDistanceLaw:
             for a, row in rows.items():
                 assert row == {b: law(a, b) for b in lat.nodes}, (slots, a)
 
-    def test_seeded_pairs_at_forty_four(self):
-        lat = build_unit_exchange(44, 44)
+    def test_seeded_pairs_at_forty_four(self, unit_exchange_44):
+        lat = unit_exchange_44
         law = half_l1(lat)
         rng = random.Random(44)
         for _ in range(10):
@@ -547,6 +555,42 @@ class TestDistanceLaw:
         rows = dict(nx.shortest_path_length(TestNetworkxCrossChecks.graph(nx, lat)))
         for a in lat.nodes:
             assert rows[a] == {b: sum(map(str.__ne__, a, b)) // steps for b in lat.nodes}, a
+
+
+def degree_law(vector):
+    """Unit-exchange degree from the distinct values V of a padded vector:
+    the pairs (x, y) in V x V with x >= 1 and y != x - 1 (a unit moves from
+    the last x to the first y), where x = y needs x in two slots."""
+    counts = Counter(vector)
+    return sum(x >= 1 and y != x - 1 and (x != y or counts[x] >= 2)
+               for x in counts for y in counts)
+
+
+class TestAtTheCap:
+    """Each node's degree and each edge's grading, read off the part
+    vectors, at total 44 and on every small lattice."""
+
+    @pytest.mark.parametrize("total", range(15))
+    def test_degree_law_on_small_lattices(self, total):
+        for slots in sorted({1, 2, 3, total, total + 2} - {0}):
+            lat = build_unit_exchange(total, slots)
+            for label, vector in node_parts(total, slots).items():
+                assert lat.degree(label) == degree_law(vector), (slots, label)
+
+    def test_degree_law_at_forty_four(self, unit_exchange_44):
+        lat = unit_exchange_44
+        wrong = [label for label, vector in node_parts(44, 44).items()
+                 if lat.degree(label) != degree_law(vector)]
+        assert wrong == []
+
+    @pytest.mark.parametrize("total,slots", ((8, 8), (12, 3), (44, 100)))
+    def test_split_merge_is_graded(self, total, slots):
+        """Every edge changes the number of nonzero parts by one."""
+        lat = build_split_merge(total, slots)
+        nonzero = {label: len(vector) - vector.count(0)
+                   for label, vector in node_parts(total, slots).items()}
+        ungraded = [(a, b) for a, b in lat.edges if abs(nonzero[a] - nonzero[b]) != 1]
+        assert ungraded == []
 
 
 class TestPartitionNodeCap:
@@ -583,9 +627,12 @@ class TestPartitionNodeCap:
             build_unit_exchange(80, 80)
         assert len(drawn) == 0
 
-    def test_total_cap_still_applies(self):
-        with pytest.raises(ValueError, match="exceeds the enumeration cap 80"):
+    def test_total_cap_still_applies(self, monkeypatch):
+        swept = []
+        monkeypatch.setattr(lattices.counting, "_box_columns", lambda *a: swept.append(a))
+        with pytest.raises(ValueError, match="^total 81 exceeds the enumeration cap 80$"):
             build_unit_exchange(81, 3)
+        assert swept == []
 
 
 @pytest.mark.parametrize("total", range(19))

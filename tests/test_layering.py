@@ -187,19 +187,40 @@ def test_bound_scan_sees_nested_raises_and_skips_the_helper(tmp_path):
 KERNEL_MOVES = {"_times_binomial", "_divide_one_minus"}
 
 
-def kernel_sweeps(root: Path) -> set[tuple[str, str]]:
-    """(module, function) for each function outside :mod:`partlat.series`,
-    which defines the two box-kernel moves, that names one of them."""
+def naming(root: Path, names: set[str]) -> set[tuple[str, str]]:
+    """(module, function) for each function under ``root`` that names one
+    of ``names``."""
     found = set()
     for path in sorted(root.glob("*.py")):
-        if path.stem == "series":
-            continue
         for func in ast.walk(ast.parse(path.read_text())):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
-                    references(func).keys() & KERNEL_MOVES):
+                    references(func).keys() & names):
                 found.add((path.stem, func.name))
     return found
 
 
 def test_one_box_kernel_sweep():
-    assert kernel_sweeps(SOURCE) == {("counting", "_box_columns")}
+    """Outside :mod:`partlat.series`, which defines the two box-kernel
+    moves, one function names them."""
+    found = naming(SOURCE, KERNEL_MOVES)
+    assert {f for f in found if f[0] != "series"} == {("counting", "_box_columns")}
+
+
+PACKING = {"_Slots", "_slot_width", "_peak"}
+
+
+def packing_definitions(root: Path) -> set[tuple[str, str]]:
+    """(module, name) for each def or class of the packed-integer kernel."""
+    return {(path.stem, node.name) for path in sorted(root.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in PACKING}
+
+
+def test_one_packed_product():
+    """:mod:`partlat.series` defines the packed-integer kernel once and its
+    series product uses it; outside it, only the two matrix kernels do."""
+    assert packing_definitions(SOURCE) == {("series", name) for name in PACKING}
+    found = naming(SOURCE, {"_Slots"})
+    assert ("series", "__mul__") in found
+    assert {f for f in found if f[0] != "series"} == {("intmatrix", "multiply"),
+                                                       ("intmatrix", "_invert_lower")}

@@ -31,6 +31,10 @@ sparse_coefficients = st.builds(
     st.integers(0, 12),
 )
 
+# Mixed-sign coefficients from one to about 200 bits wide, zeros included.
+wide = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2 ** 200), 2 ** 200),
+                 st.integers(-(2 ** 64), 2 ** 64))
+
 
 class TestArithmetic:
     def test_geometric_identity(self):
@@ -47,6 +51,10 @@ class TestArithmetic:
         b = TruncatedSeries((1, 2))
         assert (a * b).order == 1
         assert (a * b).coefficients == (1, 3)
+
+    def test_refuses_an_empty_series(self):
+        with pytest.raises(ValueError, match="a series carries at least the constant term"):
+            TruncatedSeries(())
 
     def test_invert_requires_unit_constant(self):
         with pytest.raises(ValueError):
@@ -87,6 +95,17 @@ class TestSparseKernels:
     def test_zero_series_times_anything(self):
         zero = TruncatedSeries((0, 0, 0))
         assert zero * TruncatedSeries((1, 2, 3, 4)) == zero
+
+    @given(st.lists(wide, min_size=1, max_size=41), st.lists(wide, min_size=1, max_size=41),
+           st.booleans())
+    def test_wide_coefficients_match_schoolbook(self, a, b, zero):
+        """Coefficients up to about 2^200 of either sign, so the product runs
+        in slots of several 64-bit words; a zero operand's slots must still
+        hold the other operand."""
+        if zero:
+            b = [0] * len(b)
+        got = TruncatedSeries(tuple(a)) * TruncatedSeries(tuple(b))
+        assert got.coefficients == schoolbook_mul(a, b)
 
 
 class TestNegativeOrder:
