@@ -159,7 +159,7 @@ def _cmd_count(args, out) -> int:
     pad = record.padded_length
     matches = 0
     for parts in oracle.iter_parts(record):
-        out.write(label_of(parts + (0,) * (pad - len(parts))) + "\n")
+        out.write(label_of(parts, pad) + "\n")
         matches += 1
     out.write(f"{matches}\n")
     return 0
@@ -185,11 +185,16 @@ def _cmd_export(args, out) -> int:
     return 0
 
 
-def _parse_caps(text: str) -> list[tuple[int, int | None]]:
+def _parse_caps(text: str | None) -> list[tuple[int, int | None]]:
+    if not text:
+        raise ValueError("series --kind capped requires --caps")
     caps = []
     for chunk in text.split(","):
         part, _, bound = chunk.partition(":")
-        caps.append((int(part), None if bound in ("", "*") else int(bound)))
+        try:
+            caps.append((int(part), None if bound in ("", "*") else int(bound)))
+        except ValueError:
+            raise ValueError(f"--caps entry {chunk!r} is not part:cap, part:* or part") from None
     return caps
 
 
@@ -210,9 +215,6 @@ SERIES_KINDS = {
 def _cmd_series(args, out) -> int:
     entry = SERIES_KINDS[args.kind]
     _check_ranges(args, entry.ranges)
-    if args.kind == "capped" and not args.caps:
-        print("series --kind capped requires --caps", file=sys.stderr)
-        return 2
     s = entry.build(args)
     out.write(" ".join(str(c) for c in s.coefficients) + "\n")
     return 0

@@ -12,8 +12,8 @@ subset-double-swap  fixed-weight bit strings, edges at Hamming distance 4
                     graph).
 hypercube           all d-bit strings, edges at Hamming distance 1.
 
-Builders generate each edge once, from one of its ends, working on padded
-part tuples or bit masks, so a build costs time proportional to its edges;
+Builders generate each edge once, from one end, working on nonzero-part
+strings or bit masks, so a build costs time proportional to its edges;
 the collector visits the nodes last to first.  The nodes are integers:
 node i is the i-th canonical text label in lexicographic order, so exports
 are byte-stable.  The edges are two ``array('I')`` columns of sorted node
@@ -55,7 +55,7 @@ NODE_CAP = 10 ** 6
 EDGE_CAP = 10 ** 6
 WIDTH_CAP = 100
 
-# One-byte strings, by value: a padded part string holds one part per byte.
+# One-byte strings, by value: a partition node holds one nonzero part per byte.
 _BYTES = [bytes((v,)) for v in range(256)]
 
 
@@ -277,9 +277,9 @@ def _collect(variant: str, nodes: dict, moves) -> OrbitLattice:
 
 
 def _partition_nodes(total: int, slots: int) -> dict[bytes, str]:
-    """Partitions of ``total`` in at most ``slots`` parts, as padded part
-    strings (one byte per slot, parts being at most ``oracle.TOTAL_CAP``)
-    mapped to their labels, checked against the caps first.
+    """Partitions of ``total`` in at most ``slots`` parts: their nonzero
+    parts as strings (a byte a part, at most ``oracle.TOTAL_CAP``) mapped
+    to labels padded to ``slots``, checked against the caps first.
 
     Both partition variants have the same edge count.  An edge changes two
     slots holding x and y, x + y = k (y = 0 for a zero slot), and keeps a
@@ -295,17 +295,16 @@ def _partition_nodes(total: int, slots: int) -> dict[bytes, str]:
     rest = columns[min(slots - 2, total)] if slots > 1 else [0] * (total + 1)
     _check_size(columns[-1][total], sum(k // 2 * rest[total - k] for k in range(2, total + 1)))
     _check_width(slots)
-    nodes = {}
-    for parts in stream:
-        padded = bytes(parts) + bytes(slots - len(parts))
-        nodes[padded] = label_of(padded)
-    return nodes
+    return {bytes(parts): label_of(parts, slots) for parts in stream}
 
 
-def _unit_moves(parts: bytes) -> list[bytes]:
+def _unit_moves(parts: bytes, slots: int) -> list[bytes]:
     """Level two parts: move one unit from the last slot holding x to the
     first slot holding y, for each pair of values y < x - 1; parts stay
-    sorted.  From its other end the move is onto a part at least as large."""
+    sorted.  From its other end the move is onto a part at least as large.
+    y may be 0: one empty slot, while ``slots`` has room, dropped unfilled."""
+    if len(parts) < slots:
+        parts += b"\0"
     values = list(dict.fromkeys(parts))  # decreasing; the last has no y
     starts = [parts.index(v) for v in values]
     out = []
@@ -315,18 +314,18 @@ def _unit_moves(parts: bytes) -> list[bytes]:
         for y, j in zip(values[k + 1:], starts[k + 1:]):
             if y < x - 1:
                 moved[j] = y + 1
-                out.append(bytes(moved))
+                out.append(bytes(moved).rstrip(b"\0"))
                 moved[j] = y
     return out
 
 
 def _merges(parts: bytes) -> list[bytes]:
-    """Merge two nonzero parts, once per pair of values: drop the last copy
-    of each (the last two of a repeated value), put their sum in its sorted
-    place and pad with a zero."""
-    values = [v for v in dict.fromkeys(parts) if v]
+    """Merge two parts, once per pair of values: drop the last copy of each
+    (the last two of a repeated value) and put their sum in its sorted
+    place."""
+    values = list(dict.fromkeys(parts))
     starts = [parts.index(v) for v in values]
-    ends = starts[1:] + [len(parts) - parts.count(0)]  # one past each run
+    ends = starts[1:] + [len(parts)]  # one past each run
     out = []
     for k, x in enumerate(values):
         at = 0  # where the sum goes: before the first value at most it
@@ -341,14 +340,15 @@ def _merges(parts: bytes) -> list[bytes]:
                 at += 1
             place = starts[at]
             out.append(b"".join((parts[:place], _BYTES[merged], parts[place:i],
-                                 parts[i + 1:j], parts[j + 1:], b"\0")))
+                                 parts[i + 1:j], parts[j + 1:])))
     return out
 
 
 def build_unit_exchange(total: int, slots: int) -> OrbitLattice:
     """Orbits of ``total`` in ``slots`` positions; neighbors differ by moving
     exactly one unit from one position to another (Euclidean step sqrt(2))."""
-    return _collect("unit-exchange", _partition_nodes(total, slots), _unit_moves)
+    return _collect("unit-exchange", _partition_nodes(total, slots),
+                    lambda parts: _unit_moves(parts, slots))
 
 
 def build_split_merge(total: int, slots: int) -> OrbitLattice:
@@ -501,9 +501,9 @@ def column_edge_counts(total: int) -> tuple[int, ...]:
     require_ints("total", total, low=2)
     counts = [0] * (total - 1)
     for parts in _partition_nodes(total, total):
-        # Each such edge is one levelling move into a zero slot.
-        zeros = parts.count(0)
-        if zeros:
-            counts[total - zeros - 1] += sum(1 for q in _unit_moves(parts) if q.count(0) < zeros)
+        # Each such edge is one levelling move into an empty slot.
+        n = len(parts)
+        if n < total:
+            counts[n - 1] += sum(1 for q in _unit_moves(parts, total) if len(q) > n)
     return tuple(counts)
 

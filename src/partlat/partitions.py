@@ -58,15 +58,13 @@ def canonicalize(values: Iterable[int], padded_length: int | None = None) -> "Pa
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
-def label_of(parts: Sequence[int]) -> str:
-    """Canonical text label: concatenated digits while every part is < 10,
-    comma-separated values otherwise."""
+def label_of(parts: Sequence[int], width: int = 0) -> str:
+    """Canonical text label of ``parts`` and zero slots up to ``width``:
+    concatenated digits while every part is < 10, else comma-separated."""
+    zeros = width - len(parts)
     if max(parts, default=0) > 9:
-        return ",".join(map(str, parts))
-    try:
-        return bytes(parts).translate(_DIGITS).decode()
-    except (TypeError, ValueError):  # a value that is not a byte
-        return "".join(map(str, parts))
+        return ",".join(map(str, parts)) + ",0" * zeros
+    return bytes(parts).translate(_DIGITS).decode() + "0" * zeros
 
 
 class Partition:
@@ -142,7 +140,7 @@ class Partition:
 
     def label(self) -> str:
         """Canonical text label of the padded parts; see :func:`label_of`."""
-        return label_of(self.parts)
+        return label_of(self._nonzero, self._padded)
 
     def conjugate(self) -> "Partition":
         """Column counts of the Ferrers graph (the transposed partition)."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, zip_longest
 from typing import Callable, Iterable
 
 from . import counting, errata, intmatrix, lattices, schemes, series
@@ -516,9 +516,9 @@ def _scheme_unitriangular():
 
 
 def _edge_parts(lat, total: int):
-    """(label pair, part tuple pair) for each edge of a partition lattice
-    of ``total`` in ``total`` slots, read from the builder's node tuples."""
-    parts = {label: tuple(node) for node, label in lattices._partition_nodes(total, total).items()}
+    """(label pair, nonzero-part pair) for each edge of a partition lattice
+    of ``total`` in ``total`` slots, read from the builder's node keys."""
+    parts = {label: node for node, label in lattices._partition_nodes(total, total).items()}
     return (((x, y), (parts[x], parts[y])) for x, y in lat.edges)
 
 
@@ -527,7 +527,7 @@ def _unit_exchange_edges(top):
         for (x, y), (a, b) in _edge_parts(lattices.build_unit_exchange(m, m), m):
             # Both padded vectors sum to m, so squared distance 2 is
             # exactly one unit moved from one slot to another.
-            if sum((u - v) ** 2 for u, v in zip(a, b)) != 2:
+            if sum((u - v) ** 2 for u, v in zip_longest(a, b, fillvalue=0)) != 2:
                 return f"edge {x} -- {y} in lattice of {m}"
     return None
 
@@ -552,7 +552,7 @@ def _figure_edges():
 def _split_merge_graded(top):
     for m in range(2, top + 1):
         for (x, y), (a, b) in _edge_parts(lattices.build_split_merge(m, m), m):
-            if abs(a.count(0) - b.count(0)) != 1:
+            if abs(len(a) - len(b)) != 1:
                 return f"edge {x} -- {y}"
     return None
 

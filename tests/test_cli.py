@@ -421,9 +421,20 @@ class TestSeriesCommand:
         assert status == 0
         assert text == "1 1 2 3 3 3 3 2 1 1\n"
 
-    def test_capped_requires_caps(self):
-        status, _ = run_cli("series", "--kind", "capped")
-        assert status == 2
+    def test_capped_requires_caps(self, capsys):
+        for caps in ((), ("--caps", "")):
+            status, text = run_cli("series", "--kind", "capped", *caps)
+            assert status == 2 and text == ""
+            assert capsys.readouterr().err == "error: series --kind capped requires --caps\n"
+
+    @pytest.mark.parametrize("caps, entry", (
+        (",", "''"), ("1:x", "'1:x'"), ("1:2:3", "'1:2:3'"), ("1:2,,3", "''"), ("x", "'x'"),
+    ))
+    def test_capped_names_a_malformed_entry(self, capsys, caps, entry):
+        status, text = run_cli("series", "--kind", "capped", "--caps", caps)
+        assert status == 2 and text == ""
+        assert capsys.readouterr().err == (
+            f"error: --caps entry {entry} is not part:cap, part:* or part\n")
 
     @pytest.mark.parametrize("kind", ("euler", "partition", "distinct", "distinct-signed"))
     def test_negative_order_refused(self, kind, capsys):

@@ -5,6 +5,7 @@ import random
 from array import array
 from collections import Counter
 from collections.abc import Sequence
+from itertools import combinations
 
 import pytest
 
@@ -24,8 +25,9 @@ from partlat.lattices import (
 def node_parts(total, slots=None):
     """{label: padded part tuple} for the partition lattices of ``total`` in
     ``slots`` slots (default ``total``)."""
-    nodes = lattices._partition_nodes(total, total if slots is None else slots)
-    return {label: tuple(parts) for parts, label in nodes.items()}
+    slots = total if slots is None else slots
+    nodes = lattices._partition_nodes(total, slots)
+    return {label: tuple(parts) + (0,) * (slots - len(parts)) for parts, label in nodes.items()}
 
 
 class TestUnitExchange:
@@ -78,6 +80,22 @@ class TestSplitMerge:
         lat = build_split_merge(6, 3)
         assert ("330", "600") in lat.edges
         assert ("321", "510") in lat.edges
+
+    @pytest.mark.parametrize("total", range(13))
+    def test_edges_are_every_merge_of_two_slots(self, total):
+        """The edges are the pairs (v, w) where w merges two nonzero slots of
+        the padded vector v into one and re-sorts, at every zero-slot
+        boundary."""
+        for slots in sorted({1, 2, 3, total, total + 2} - {0}):
+            labels = {vector: label for label, vector in node_parts(total, slots).items()}
+            merges = set()
+            for v, label in labels.items():
+                for i, j in combinations(range(slots), 2):
+                    if v[i] and v[j]:
+                        rest = [x for k, x in enumerate(v) if k not in (i, j)]
+                        w = tuple(sorted(rest + [v[i] + v[j], 0], reverse=True))
+                        merges.add(tuple(sorted((label, labels[w]))))
+            assert set(build_split_merge(total, slots).edges) == merges, slots
 
     def test_grading_by_nonzero_parts(self):
         lat = build_split_merge(7, 7)
@@ -405,10 +423,12 @@ class TestEdgeContract:
         for slots in sorted({1, 2, 3, total, total + 3} - {0}):
             nodes = lattices._partition_nodes(total, slots)
             for parts in nodes:
-                for moved in lattices._unit_moves(parts):
+                for moved in lattices._unit_moves(parts, slots):
                     assert moved in nodes
-                    removed = sorted((Counter(parts) - Counter(moved)).elements())
-                    added = sorted((Counter(moved) - Counter(parts)).elements())
+                    before = Counter(parts) + Counter({0: slots - len(parts)})
+                    after = Counter(moved) + Counter({0: slots - len(moved)})
+                    removed = sorted((before - after).elements())
+                    added = sorted((after - before).elements())
                     assert len(removed) == 2
                     y, x = removed
                     assert y < x - 1 and added == sorted((y + 1, x - 1))

@@ -224,3 +224,24 @@ def test_one_packed_product():
     assert ("series", "__mul__") in found
     assert {f for f in found if f[0] != "series"} == {("intmatrix", "multiply"),
                                                        ("intmatrix", "_invert_lower")}
+
+
+def label_of_calls(root: Path) -> dict[tuple[str, int], bool]:
+    """{(module, line): whether the call passes a width} for each call of
+    ``label_of`` under ``root``, by name or as an attribute."""
+    found = {}
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "label_of" in (getattr(node.func, "id", None),
+                                                              getattr(node.func, "attr", None)):
+                found[path.stem, node.lineno] = (len(node.args) > 1
+                                                 or any(k.arg == "width" for k in node.keywords))
+    return found
+
+
+def test_one_labelling_rule():
+    """:func:`partlat.partitions.label_of` is the one place a label gains its
+    zero slots: every call of it in src/ passes the width to pad to."""
+    calls = label_of_calls(SOURCE)
+    assert {module for module, _ in calls} == {"cli", "lattices", "partitions"}
+    assert [call for call, padded in calls.items() if not padded] == []

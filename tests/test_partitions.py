@@ -472,7 +472,13 @@ class TestLabels:
         ((9, 9), 2, "99"),
         ((10, 1), 3, "10,1,0"),
         ((12,), 1, "12"),
+        ((12,), 3, "12,0,0"),
+        ((10, 1), 5, "10,1,0,0,0"),
     ])
     def test_digit_and_comma_rule(self, parts, padded, label):
         assert Partition(parts, padded).label() == label
-        assert label_of(parts + (0,) * (padded - len(parts))) == label
+        assert label_of(parts, padded) == label
+
+    def test_negative_part_refused(self):
+        with pytest.raises(ValueError):
+            label_of((-1,))

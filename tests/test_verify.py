@@ -34,9 +34,11 @@ def test_shift_invariance_names_a_wrong_shift(monkeypatch, wrong_base):
     assert not result.ok and result.detail == detail
 
 
-def two_unit_moves(parts: bytes) -> set[bytes]:
+def two_unit_moves(parts: bytes, slots: int) -> set[bytes]:
     """Level two parts by two units: each edge joins padded vectors at
     squared distance 8, not 2."""
+    if len(parts) < slots:
+        parts += b"\0"
     out = set()
     for x in set(parts):
         for y in set(parts):
@@ -44,7 +46,7 @@ def two_unit_moves(parts: bytes) -> set[bytes]:
                 moved = list(parts)
                 moved[moved.index(x)] -= 2
                 moved[moved.index(y)] += 2
-                out.add(bytes(sorted(moved, reverse=True)))
+                out.add(bytes(sorted(moved, reverse=True)).rstrip(b"\0"))
     return out
 
 
