@@ -64,13 +64,9 @@ def _record(args: argparse.Namespace) -> oracle.ConstraintRecord:
 
 
 def _list_bound(args: argparse.Namespace) -> int:
-    """An upper bound on the partitions `count --list` prints: the box count
-    p_box over the record's part-size and part-count bounds.  Zero without
-    --list, and past the oracle's cap, which refuses that total itself."""
-    if not args.list or args.total > oracle.TOTAL_CAP:
-        return 0
-    c = _record(args)
-    return counting.p_box(c.largest_bound, c.slot_bound, c.total)
+    """How many partitions `count --list` prints: the oracle's exact count,
+    which refuses a total past its cap itself.  Zero without --list."""
+    return oracle.count(_record(args)) if args.list else 0
 
 
 def _list_width(args: argparse.Namespace) -> int:
@@ -273,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--" + f.name.replace("_", "-"), **flag_options.get(f.name, {"type": int}))
     c.add_argument("--list", action="store_true",
                    help="print the partitions too, zero-padded to the part-count bound "
-                   f"(refused when a box bound on the matches passes {LIST_MATCHES.cap}, "
-                   f"or that bound passes {LIST_WIDTH.cap})")
+                   f"(refused when the matches pass {LIST_MATCHES.cap}, "
+                   f"or the part-count bound passes {LIST_WIDTH.cap})")
     c.set_defaults(fn=_cmd_count)
 
     s = sub.add_parser("scheme", help="emit a partition scheme or its exact inverse")

@@ -16,7 +16,7 @@ entries proved before the row is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from operator import mul
 from typing import Callable, Sequence
 
@@ -190,14 +190,14 @@ def inverse_exact_parts_matrix(n: int) -> IntMatrix:
 
 
 def inverse_unit_diff_matrix(n: int) -> IntMatrix:
-    """Inverse of the unit-diff table; also equals the lower summation
-    matrix times the Euler matrix, column-shift structure included.
+    """Inverse of the unit-diff table: the lower summation matrix times the
+    Euler matrix.
 
-    The table is Toeplitz with column p(m) - p(m - 1), so its inverse is
-    the Toeplitz matrix of the inverse series."""
+    The table is Toeplitz with column p(m) - p(m - 1), the series
+    (1 - t)·P(t), so its inverse is the Toeplitz matrix of E(t)/(1 - t):
+    the running sums of the Euler-product coefficients."""
     require_ints("n", n, low=1)
-    column = series.TruncatedSeries(counting.unit_diff_column(n - 1))
-    return toeplitz(column.invert().coefficients)
+    return toeplitz(accumulate(series.euler_product(n - 1).coefficients))
 
 
 # -- partition schemes -------------------------------------------------------

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Sequence
 from functools import cached_property
 from itertools import combinations, repeat
@@ -217,25 +217,10 @@ class _Edges(Sequence):
         get = lat._labels.__getitem__
         return zip(map(get, lat._low), map(get, lat._high))
 
-    def __contains__(self, pair) -> bool:
-        if not (isinstance(pair, tuple) and len(pair) == 2):
-            return False
-        lat = self._lattice
-        i, j = (lat._index.get(x) for x in pair)
-        if i is None or j is None or i >= j:
-            return False
-        low, high = lat._low, lat._high
-        start = bisect_left(low, i)
-        end = bisect_right(low, i, start)
-        k = bisect_left(high, j, start, end)
-        return k < end and high[k] == j
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (tuple, _Edges)):
             return len(self) == len(other) and all(map(eq, self, other))
         return NotImplemented
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"<{len(self)} edges of {self._lattice!r}>"

@@ -45,6 +45,10 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import Partition, require_ints
 
+# A parity filter asks whether every part is odd (even, distinct), so the
+# empty partition passes all-odd, all-even and distinct and fails mixed.
+# ``parity_class`` instead puts each partition in exactly one class, the
+# empty one in "even", as ``counting.odd_even_mixed(0) == (0, 1, 0, 1)`` does.
 PARITY_CHOICES = ("none", "all-odd", "all-even", "mixed", "distinct")
 
 # Enumeration above this total is refused outright: p(80) is 15.8 million
@@ -95,21 +99,11 @@ class ConstraintRecord:
         the record sets one, else 0 (no padding)."""
         return next((b for b in (self.exact_parts, self.max_parts) if b is not None), 0)
 
-    @property
-    def largest_bound(self) -> int:
-        """No match has a part above this: the least of the total and the
-        part-size bounds the record sets."""
-        return min(b for b in (self.total, self.max_part, self.exact_max_part) if b is not None)
-
-    @property
-    def slot_bound(self) -> int:
-        """No match has more parts than this: the part-count bound when the
-        record sets one, else the total."""
-        return next((b for b in (self.exact_parts, self.max_parts) if b is not None), self.total)
-
 
 def parity_class(parts: tuple[int, ...]) -> str:
-    """'odd', 'even' or 'mixed'; the empty partition counts as 'even'."""
+    """'odd', 'even' or 'mixed', one class per partition; the empty
+    partition counts as 'even', although it passes the all-odd filter too
+    (see ``PARITY_CHOICES``)."""
     residues = {v % 2 for v in parts}
     if len(residues) == 2:
         return "mixed"
@@ -126,10 +120,9 @@ def _units(parts: tuple[int, ...]) -> int:
 
 def _layer(parts: tuple[int, ...]) -> int:
     """1 + size of the interior (every row after the first, less its first
-    cell); 0 for the empty partition."""
-    if not parts:
-        return 0
-    return 1 + sum(v - 1 for v in parts[1:])
+    cell), which is every cell off the hook frame; 0 for the empty
+    partition."""
+    return sum(parts) - _hook_frame(parts) + 1 if parts else 0
 
 
 def _hook_frame(parts: tuple[int, ...]) -> int:
@@ -273,7 +266,11 @@ def _plan(c: ConstraintRecord) -> _Plan | None:
         lo += (lo + (c.parity == "all-odd")) % 2
         step = 2
     gap = int(c.parity == "distinct")
-    total, hi, slots, exact = c.total, c.largest_bound, c.slot_bound, c.exact_parts is not None
+    total, exact = c.total, c.exact_parts is not None
+    # No part above the total or a part-size bound; no more parts than the
+    # total, or than the part-count bound when the record sets one.
+    hi = min(b for b in (total, c.max_part, c.exact_max_part) if b is not None)
+    slots = next((b for b in (c.exact_parts, c.max_parts) if b is not None), total)
     frame = c.hook_frame
     if total and c.layer is not None:
         # A nonempty partition's layer is its total - hook frame + 1.
@@ -392,8 +389,10 @@ def _tabled(c: ConstraintRecord) -> int:
     if p is None:
         return 0
     if not p.total:
-        # Only the ones are left: one candidate tuple, which the filters judge.
-        return sum(1 for _ in iter_parts(c))
+        # Only the ones are left: one candidate tuple, which must fill every
+        # slot when the part count is exact, and which the filters judge.
+        ones = (1,) * p.ones
+        return int((not p.exact or not p.slots) and all(keep(ones) for keep in _filters(c)))
     lo, step, gap = p.lo, p.step, p.gap
     if p.firsts is None:
         reads = [(p.hi, p.slots, p.exact, p.total)]
@@ -440,7 +439,10 @@ def count(c: ConstraintRecord) -> int:
 
     A nonempty partition is exactly one of all-odd, all-even and mixed, so
     the mixed count is the plain count less the other two, with every other
-    field the same.
+    field the same.  The empty partition passes the all-odd, all-even and
+    distinct filters and fails mixed: at total 0 those parities count 1, 1,
+    1 and 0 (every other field permitting), although ``parity_class`` puts
+    it in 'even' alone.
     """
     _refuse_past_cap(c)
     if c.parity == "mixed" and c.total:

@@ -63,7 +63,9 @@ def label_of(parts: Sequence[int], width: int = 0) -> str:
     concatenated digits while every part is < 10, else comma-separated."""
     zeros = width - len(parts)
     if max(parts, default=0) > 9:
-        return ",".join(map(str, parts)) + ",0" * zeros
+        # One C-level format for the parts and the zero slots, less the
+        # last comma.
+        return ("%d," * len(parts) % tuple(parts) + "0," * zeros)[:-1]
     return bytes(parts).translate(_DIGITS).decode() + "0" * zeros
 
 

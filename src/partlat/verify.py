@@ -244,6 +244,9 @@ _EQUIVALENCES = (
     _Equivalence("p_min_part", ("total", "exact_parts", "min_part"),
                  lambda m: product((m,), range(1, m + 1), (1, 2, 3)),
                  lambda m, n, r: counting.p_min_part(m, n, r)),
+    # These start at total 1: the oracle's filters count the empty partition
+    # as all-odd and as all-even, odd_even_mixed(0) as 'even' alone (one class
+    # per partition), and the two conventions agree only from total 1 up.
     _Equivalence("odd", ("total",), lambda m: [(m,)] if m else [],
                  lambda m: counting.odd_even_mixed(m)[0], "all-odd"),
     _Equivalence("even", ("total",), lambda m: [(m,)] if m else [],

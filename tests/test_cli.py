@@ -2,10 +2,12 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,11 @@ from partlat import cli, oracle, tables
 from partlat.counting import atmost_table, box_table, exact_table, odd_even_mixed_table, p, p_box
 from partlat.schemes import build_scheme
 from partlat.tables import CountTable
+
+ROOT = Path(__file__).resolve().parent.parent
+# CLI children import partlat from this checkout's src first.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
 
 
 def run_cli(*argv):
@@ -237,14 +244,15 @@ class TestCountCommand:
         monkeypatch.setenv("COLUMNS", "80")
         assert run_cli("count", "--help") == (0, "")
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "53d6cce31fdec03d07d04cbc22e427a1526e79563f596263a0ffb7f570183990"
+        assert digest == "eda35cf5145454ca1bbea4beb1bc9d60c461964e6af92def5814b1a4c0d72383"
 
 
 def flag_list_bound(a):
-    """The --list matches bound written out from the flags."""
-    size = min(b for b in (a.max_part, a.exact_max_part, a.total) if b is not None)
-    parts = min(b for b in (a.max_parts, a.exact_parts, a.total) if b is not None)
-    return p_box(size, parts, a.total)
+    """The --list matches written out from the flags: the walked count."""
+    record = oracle.ConstraintRecord(
+        total=a.total, max_part=a.max_part, exact_max_part=a.exact_max_part,
+        max_parts=a.max_parts, exact_parts=a.exact_parts)
+    return sum(1 for _ in oracle.iter_parts(record))
 
 
 def flag_list_width(a):
@@ -540,12 +548,30 @@ class TestCostRegistry:
         # p(80) is far past the cap; its partitions into at most 3 parts are not.
         status, text = run_cli("count", "--total", "80", "--max-parts", "3", "--list")
         assert status == 0 and int(text.split()[-1]) == p_box(80, 3, 80)
-        # Past the oracle's cap the bound is not computed; the oracle refuses.
+        # Largest part 60 leaves p(20) = 627 matches, though the box of
+        # parts up to 60 holds far more than the cap.
+        status, text = run_cli("count", "--total", "80", "--exact-max-part", "60", "--list")
+        lines = text.splitlines()
+        assert status == 0 and len(lines) == 628 and lines[-1] == "627"
+        # Past the oracle's cap the count refuses the total itself.
         status, _ = run_cli("count", "--total", "1000000000", "--list")
         assert status == 2 and "enumeration cap" in capsys.readouterr().err
+        # Largest part 20 leaves 791131 matches.
         monkeypatch.setattr(cli.oracle, "iter_parts", fail)
-        status, _ = run_cli("count", "--total", "80", "--exact-max-part", "60", "--list")
+        status, _ = run_cli("count", "--total", "80", "--exact-max-part", "20", "--list")
         assert status == 2 and "--list matches must be in" in capsys.readouterr().err
+
+    def test_list_matches_cap_is_the_exact_count(self, monkeypatch, capsys):
+        argv = ("count", "--total", "30", "--parity", "all-odd", "--max-parts", "6", "--list")
+        matches = oracle.count(oracle.ConstraintRecord(total=30, parity="all-odd", max_parts=6))
+        at = cli.LIST_MATCHES._replace(cap=matches)
+        patch_registry(monkeypatch, ("count",), cli.LIST_MATCHES, at)
+        status, text = run_cli(*argv)
+        assert status == 0 and len(text.splitlines()) == matches + 1
+        below = at._replace(cap=matches - 1)
+        patch_registry(monkeypatch, ("count",), at, below, builder=fail)
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err == f"error: --list matches must be in 0..{matches - 1}\n"
 
     @pytest.mark.parametrize("bound", ("--max-parts", "--exact-parts"))
     def test_list_width_refused_before_any_partition(self, monkeypatch, capsys, bound):
@@ -629,7 +655,7 @@ class TestDeterminism:
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "partlat.cli", "count", "--total", "6"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert proc.stdout == "11\n"
 
@@ -637,7 +663,7 @@ def test_console_entry_point_runs():
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "partlat.cli", "frobnicate"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 2
 
 
@@ -646,7 +672,7 @@ def test_usage_error_exit_code():
 def test_closed_stdout_exits_1_without_a_traceback(argv):
     """``partlat ... | head -1``: the reader closes the pipe after one line."""
     proc = subprocess.Popen([sys.executable, "-m", "partlat.cli", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
     first = proc.stdout.readline()
     proc.stdout.close()
     stderr = proc.stderr.read()

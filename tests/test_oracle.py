@@ -6,7 +6,7 @@ from itertools import combinations, islice, product
 
 import pytest
 
-from partlat import oracle
+from partlat import counting, oracle
 from partlat.oracle import ConstraintRecord, classify, count, enumerate_partitions, iter_parts
 from partlat.partitions import Partition
 
@@ -276,6 +276,45 @@ def assert_matches_reference(c, classifiers=()):
         assert classify(c, key) == ref_classify(c, key), (c, key)
 
 
+def seeded_records():
+    """600 records drawn with a fixed seed: totals 0..18, any parity and one
+    to four integer fields."""
+    rng = random.Random(20261018)
+    for _ in range(600):
+        total = rng.randint(0, 18)
+        kw = {"total": total, "parity": rng.choice(oracle.PARITY_CHOICES)}
+        for field in rng.sample(INT_FIELDS, rng.randint(1, 4)):
+            if EXCLUSIVE.get(field) not in kw:
+                kw[field] = rng.randint(0, total + 2)
+        yield ConstraintRecord(**kw)
+
+
+EDGE_CASES = [
+    {"total": 5, "min_part": 6},
+    {"total": 0, "min_part": 3},
+    {"total": 7, "min_part": 7},
+    {"total": 6, "exact_parts": 0},
+    {"total": 0, "exact_parts": 0},
+    {"total": 0, "exact_parts": 2},
+    {"total": 6, "max_parts": 0},
+    {"total": 0, "max_parts": 0},
+    {"total": 6, "max_part": 0},
+    {"total": 6, "exact_max_part": 0},
+    {"total": 0, "exact_max_part": 0},
+    {"total": 6, "max_part": 40, "max_parts": 40},
+    {"total": 6, "exact_max_part": 40, "exact_parts": 40},
+    {"total": 9, "exact_parts": 3, "min_part": 3},
+    {"total": 9, "exact_parts": 4, "min_part": 3},
+    {"total": 12, "exact_parts": 4, "min_part": 2, "max_part": 4, "parity": "all-even"},
+    {"total": 0, "hook_frame": 0},
+    {"total": 0, "layer": 0},
+    {"total": 0, "unit_count": 0},
+    {"total": 0, "parity": "all-odd"},
+    {"total": 0, "parity": "mixed"},
+    {"total": 0, "parity": "distinct"},
+]
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("field", INT_FIELDS)
     def test_every_value_of_one_field(self, field):
@@ -293,41 +332,61 @@ class TestAgainstReference:
                     ConstraintRecord(total=total, parity=parity, max_parts=slots))
 
     def test_seeded_random_records(self):
-        rng = random.Random(20261018)
-        for _ in range(600):
-            total = rng.randint(0, 18)
-            kw = {"total": total, "parity": rng.choice(oracle.PARITY_CHOICES)}
-            for field in rng.sample(INT_FIELDS, rng.randint(1, 4)):
-                if EXCLUSIVE.get(field) not in kw:
-                    kw[field] = rng.randint(0, total + 2)
-            assert_matches_reference(ConstraintRecord(**kw), oracle.CLASSIFIERS)
+        for c in seeded_records():
+            assert_matches_reference(c, oracle.CLASSIFIERS)
 
-    @pytest.mark.parametrize("kw", [
-        {"total": 5, "min_part": 6},
-        {"total": 0, "min_part": 3},
-        {"total": 7, "min_part": 7},
-        {"total": 6, "exact_parts": 0},
-        {"total": 0, "exact_parts": 0},
-        {"total": 0, "exact_parts": 2},
-        {"total": 6, "max_parts": 0},
-        {"total": 0, "max_parts": 0},
-        {"total": 6, "max_part": 0},
-        {"total": 6, "exact_max_part": 0},
-        {"total": 0, "exact_max_part": 0},
-        {"total": 6, "max_part": 40, "max_parts": 40},
-        {"total": 6, "exact_max_part": 40, "exact_parts": 40},
-        {"total": 9, "exact_parts": 3, "min_part": 3},
-        {"total": 9, "exact_parts": 4, "min_part": 3},
-        {"total": 12, "exact_parts": 4, "min_part": 2, "max_part": 4, "parity": "all-even"},
-        {"total": 0, "hook_frame": 0},
-        {"total": 0, "layer": 0},
-        {"total": 0, "unit_count": 0},
-        {"total": 0, "parity": "all-odd"},
-        {"total": 0, "parity": "mixed"},
-        {"total": 0, "parity": "distinct"},
-    ])
+    @pytest.mark.parametrize("kw", EDGE_CASES)
     def test_edge_cases(self, kw):
         assert_matches_reference(ConstraintRecord(**kw), oracle.CLASSIFIERS)
+
+
+def every_record_shape(parity):
+    """The records ``TestAgainstReference`` checks, under ``parity`` and at
+    totals 0..22, plus total 0 and a unit count equal to the total, each
+    alone and with an exact part count, a hook frame or a layer."""
+    for total in range(23):
+        near = sorted({0, 1, total, total + 1})
+        for field in INT_FIELDS:
+            for value in range(total + 3):
+                yield ConstraintRecord(total=total, parity=parity, **{field: value})
+        for slots in (None, 0, 1, total // 3 + 1, total + 2):
+            yield ConstraintRecord(total=total, parity=parity, max_parts=slots)
+        units = [{"total": 0}, {"total": total, "unit_count": total}]
+        extras = [{}] + [{name: v} for name in ("exact_parts", "hook_frame", "layer")
+                         for v in near]
+        for base in units:
+            for extra in extras:
+                yield ConstraintRecord(parity=parity, **base, **extra)
+    yield from (c for c in seeded_records() if c.parity == parity)
+    yield from (ConstraintRecord(**kw) for kw in EDGE_CASES
+                if kw.get("parity", "none") == parity)
+
+
+@pytest.mark.parametrize("parity", oracle.PARITY_CHOICES)
+def test_count_walks_nothing(monkeypatch, parity):
+    records = list(every_record_shape(parity))
+    walked = [sum(1 for _ in iter_parts(c)) for c in records]
+
+    def no_walk(*_):
+        raise AssertionError("count walked the partitions")
+
+    monkeypatch.setattr(oracle, "_walk", no_walk)
+    monkeypatch.setattr(oracle, "iter_parts", no_walk)
+    for c, want in zip(records, walked):
+        assert count(c) == want, c
+
+
+def test_total_zero_parity_conventions():
+    """A parity filter asks whether every part is odd (even, distinct), so
+    the empty partition passes all of them but mixed; ``parity_class`` and
+    ``odd_even_mixed`` put each partition in one class, the empty one in
+    'even'."""
+    assert {parity: count(ConstraintRecord(total=0, parity=parity))
+            for parity in oracle.PARITY_CHOICES} == \
+        {"none": 1, "all-odd": 1, "all-even": 1, "mixed": 0, "distinct": 1}
+    assert oracle.parity_class(()) == "even"
+    assert counting.odd_even_mixed(0) == (0, 1, 0, 1)
+    assert classify(ConstraintRecord(total=0, parity="all-odd"), "parity_class") == {"even": 1}
 
 
 # Classifier key -> the record field that filters on the same value.
