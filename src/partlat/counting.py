@@ -3,8 +3,8 @@
 Every restricted count is a coefficient of a Gaussian polynomial
 G(a, b) = prod_{k=1..b} (1 - t^(a+k)) / (1 - t^k), which counts partitions
 inside an a x b box (Andrews, *The Theory of Partitions*, ch. 3), built by
-:func:`_box_columns`, the one kernel sweep; tables take every cell from one
-sweep, the binomial table from the box recurrence summed over totals.
+:func:`_box_columns`, the one kernel sweep; tables take whole columns from
+one sweep, the binomial table from the box recurrence summed over totals.
 ``p`` uses the pentagonal-number recurrence instead, so the two
 constructions check each other.  Nothing recurses, walks a lattice or uses
 the oracle.
@@ -18,13 +18,13 @@ p_box(m, n-1, M) + p_box(m-1, n, M-n) (are all n slots nonzero?) does not
 from __future__ import annotations
 
 import math
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, zip_longest
 from operator import add, lshift, sub
 from typing import Iterable, Iterator
 
 from .partitions import Partition, require_ints
 from .series import _divide_one_minus, _times_binomial, pentagonal_pairs
-from .tables import CountTable, grid_table
+from .tables import CountTable, column_table
 
 
 def _box_columns(a: int, b: int, order: int) -> Iterator[tuple[int, ...]]:
@@ -229,9 +229,8 @@ def unit_diff_cell(total: int, units: int) -> int:
 def unit_diff_table(max_total: int) -> CountTable:
     require_ints("max_total", max_total)
     column = unit_diff_column(max_total)
-    return grid_table("unit-diff", "m", "n",
-                      range(max_total + 1), range(max_total + 1),
-                      lambda m, n: column[m - n] if n <= m else 0)
+    return column_table("unit-diff", "m", "n", range(max_total + 1), range(max_total + 1),
+                        ((0,) * n + column for n in range(max_total + 1)))
 
 
 # -- trapezoid blocks ------------------------------------------------------
@@ -261,12 +260,13 @@ def right_hand_neighbor_table(max_total: int) -> CountTable:
     exchange lattice, per total m = 2..max_total.  An edge from n to n + 1
     nonzero parts moves a unit from a part x >= 2 into a zero slot, and
     removing one copy of x leaves a partition of m - x into n - 1 parts:
-    cell (m, n) sums p_exact(j, n - 1) over j = 0..m-2, down the exact
-    table."""
+    cell (m, n) sums p_exact(j, n - 1) over j = 0..m-2, a running sum down
+    the exact table's column n - 1."""
     require_ints("max_total", max_total, low=2)
-    sums = list(accumulate(exact_table(max_total - 2).cells, lambda s, row: tuple(map(add, s, row))))
-    return grid_table("neighbors", "m", "n", range(2, max_total + 1), range(1, max_total),
-                      lambda m, n: sums[m - 2][n - 1])
+    top = max_total - 2
+    return column_table("neighbors", "m", "n", range(2, max_total + 1), range(1, max_total),
+                        (accumulate((0,) * n + column)
+                         for n, column in enumerate(_box_columns(top, top, top))))
 
 
 # -- hook layers -------------------------------------------------------------
@@ -295,9 +295,10 @@ def layer_table(max_total: int) -> CountTable:
         for b, column in enumerate(_box_columns(a, min(a, top), top)):
             pair = map(lshift, column[:top - b + 1], repeat(a != b))
             hooks[a + b + 1] = list(map(add, hooks[a + b + 1], pair))
-    return grid_table("layers", "n", "k",
-                      range(1, max_total + 1), range(1, _layer_width(max_total) + 1),
-                      lambda n, k: hooks[n - k + 1][k - 1] if k <= n else 0)
+    return column_table("layers", "n", "k",
+                        range(1, max_total + 1), range(1, _layer_width(max_total) + 1),
+                        ((0,) * t + by_frame
+                         for t, by_frame in enumerate(zip_longest(*hooks[1:], fillvalue=0))))
 
 
 def _layer_width(max_total: int) -> int:
@@ -342,31 +343,26 @@ def binomial_table(max_size: int) -> CountTable:
     all b slots nonzero?) reads B(a, b) = B(a, b-1) + B(a-1, b), with
     B(0, b) = B(a, 0) = 1."""
     require_ints("max_size", max_size)
-    boxes = [[1] * max_size for _ in range(max_size)]
-    for a in range(1, max_size):
-        for b in range(1, max_size - a):
-            boxes[a][b] = boxes[a][b - 1] + boxes[a - 1][b]
-    return grid_table("binomial", "r", "k",
-                      range(1, max_size + 1), range(1, max_size + 1),
-                      lambda r, k: boxes[k - 1][r - k] if k <= r else 0)
+    # Row a of B holds the running sums of row a - 1 along b.
+    boxes = accumulate(range(1, max_size), lambda box, _: tuple(accumulate(box)),
+                       initial=(1,) * max_size)
+    return column_table("binomial", "r", "k", range(1, max_size + 1), range(1, max_size + 1),
+                        ((0,) * a + box for a, box in enumerate(boxes)))
 
 
 # -- the classic table pair ---------------------------------------------------
 
 def exact_table(max_total: int) -> CountTable:
     require_ints("max_total", max_total)
-    columns = list(_box_columns(max_total, max_total, max_total))
-    return grid_table("exact", "m", "n",
-                      range(max_total + 1), range(max_total + 1),
-                      lambda m, n: columns[n][m - n] if n <= m else 0)
+    columns = _box_columns(max_total, max_total, max_total)
+    return column_table("exact", "m", "n", range(max_total + 1), range(max_total + 1),
+                        ((0,) * n + column for n, column in enumerate(columns)))
 
 
 def atmost_table(max_total: int) -> CountTable:
     require_ints("max_total", max_total)
-    columns = list(_box_columns(max_total, max_total, max_total))
-    return grid_table("atmost", "m", "n",
-                      range(max_total + 1), range(max_total + 1),
-                      lambda m, n: columns[n][m], show_sums=False)
+    return column_table("atmost", "m", "n", range(max_total + 1), range(max_total + 1),
+                        _box_columns(max_total, max_total, max_total), show_sums=False)
 
 
 def box_table(edge: int, dim: int) -> CountTable:
@@ -374,7 +370,5 @@ def box_table(edge: int, dim: int) -> CountTable:
     0..edge, each column counting inside the (e x dim) box."""
     require_ints("edge", edge)
     require_ints("dim", dim)
-    columns = list(_box_columns(max(dim, 0), edge, edge * dim))
-    return grid_table("box", "m", "edge",
-                      range(edge * dim + 1), range(edge + 1),
-                      lambda m, e: columns[e][m] if dim >= 0 else 0, show_sums=False)
+    return column_table("box", "m", "edge", range(edge * dim + 1), range(edge + 1),
+                        _box_columns(dim, edge, edge * dim) if dim >= 0 else (), show_sums=False)

@@ -2,7 +2,8 @@
 
 Row and column keys are usually ints (totals, part counts) but may be
 strings for composite tables that carry their own sum columns.  Output is
-deterministic so it can be diffed and parsed back.
+deterministic so it can be diffed and parsed back.  :func:`column_table`
+lays a table out from whole columns, as the counting kernel yields them.
 
 :meth:`CountTable.export` streams each format in chunks of about ``_CHUNK``
 cells (json: encoder pieces), so a large table is never held as one string,
@@ -15,8 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterator, Sequence
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 Key = int | str
 
@@ -141,10 +142,14 @@ def _slices(items: Sequence, size: int | None = None) -> Iterator[Sequence]:
     return (items[start:start + size] for start in range(0, len(items), size))
 
 
-def grid_table(name: str, row_label: str, col_label: str,
-               rows: Sequence[Key], cols: Sequence[Key],
-               cell, show_sums: bool = True) -> CountTable:
-    """Build a table by evaluating ``cell(row, col)`` over the axes."""
-    cells = tuple(tuple(cell(r, c) for c in cols) for r in rows)
+def column_table(name: str, row_label: str, col_label: str,
+                 rows: Sequence[Key], cols: Sequence[Key],
+                 columns: Iterable[Iterable[int]], show_sums: bool = True) -> CountTable:
+    """Build a table from one column of cells per ``cols`` entry (zeros
+    where ``columns`` runs out), each padded with zeros or cut to the rows."""
+    height = len(rows)
+    padded = [tuple(islice(chain(column, repeat(0)), height))
+              for _, column in zip(cols, chain(columns, repeat(())))]
+    cells = tuple(zip(*padded)) if padded else ((),) * height
     return CountTable(name, row_label, col_label, tuple(rows), tuple(cols), cells,
                       show_sums=show_sums)

@@ -654,8 +654,8 @@ def verify_suite(max_total: int = 12) -> Report:
         results.append(CheckResult(check.name, "invariant", detail is None, detail or ""))
     for e in errata.ERRATA:
         try:
-            ok = e.confirm()
-        except Exception:
-            ok = False
-        results.append(CheckResult(f"erratum-{e.ident}", "erratum", ok, e.witness))
+            ok, detail = e.confirm(), e.witness
+        except Exception as exc:  # a crash must not read as the printed witness
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        results.append(CheckResult(f"erratum-{e.ident}", "erratum", ok, detail))
     return Report(max_total, tuple(results))

@@ -71,6 +71,18 @@ PINNED_TABLES = {
 }
 
 
+# The benchmark's cli-tables output gate: the sha256 of each recorded
+# command's stdout, read from perfbench/.
+CLI_DIGESTS = json.loads((ROOT / "perfbench" / "cli_digests.json").read_text())
+
+
+@pytest.mark.parametrize("command,digest", CLI_DIGESTS.items(), ids=list(CLI_DIGESTS))
+def test_benchmark_commands_print_their_recorded_bytes(command, digest):
+    status, text = run_cli(*command.split())
+    assert status == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestTableCommand:
     def test_exact_tsv_golden_row(self):
         status, text = run_cli("table", "exact", "--max", "6", "--format", "tsv")

@@ -555,6 +555,47 @@ def test_negative_bound_counts_nothing(call):
     assert eval(call, vars(counting)) == 0
 
 
+# Each table's rows, columns and cells, defined cell by cell.
+TABLE_DEFINITIONS = {
+    "box_table": lambda e, d: (range(e * d + 1), range(e + 1),
+                               lambda m, k: ref_box(d, k, m) if d >= 0 else 0),
+    "exact_table": lambda n: (range(n + 1), range(n + 1), ref_exact),
+    "atmost_table": lambda n: (range(n + 1), range(n + 1), ref_atmost),
+    "unit_diff_table": lambda n: (range(n + 1), range(n + 1), ref_unit_diff),
+    "binomial_table": lambda n: (range(1, n + 1), range(1, n + 1),
+                                 lambda r, k: math.comb(r - 1, k - 1)),
+    "layer_table": lambda n: (range(1, n + 1), range(1, ref_layer_width(n) + 1),
+                              lambda m, k: ref_hook_layer(m - k + 1, k - 1)),
+    "right_hand_neighbor_table": lambda n: (range(2, n + 1), range(1, n), lambda m, k: sum(
+        ref_exact(j, k - 1) for j in range(m - 1))),
+}
+DEGENERATE_SHAPES = (
+    [("box_table", (e, d)) for e in range(-2, 4) for d in range(-2, 4)]
+    + [(name, (n,)) for name in ("exact_table", "atmost_table", "unit_diff_table")
+       for n in range(-1, 3)]
+    + [("binomial_table", (n,)) for n in range(4)]
+    + [("layer_table", (n,)) for n in (1, 2, 3, 4, 40)]
+    + [("right_hand_neighbor_table", (n,)) for n in (2, 3, 4)]
+)
+
+
+def ref_layer_width(top):
+    """The last layer with a partition of some total 1..top."""
+    return max(k for m in range(1, top + 1) for k in range(1, m + 1)
+               if ref_hook_layer(m - k + 1, k - 1))
+
+
+@pytest.mark.parametrize("name,size", DEGENERATE_SHAPES,
+                         ids=[f"{name}{size}" for name, size in DEGENERATE_SHAPES])
+def test_small_and_degenerate_tables_match_their_cell_definitions(name, size):
+    """Empty axes, a single row or column, and negative sizes keep each
+    table's shape: a row without columns, or no rows at all."""
+    rows, cols, cell = TABLE_DEFINITIONS[name](*size)
+    table = getattr(counting, name)(*size)
+    assert (table.rows, table.cols, table.cells) == (
+        tuple(rows), tuple(cols), tuple(tuple(cell(r, c) for c in cols) for r in rows))
+
+
 def _stack_depth() -> int:
     frame, depth = sys._getframe(), 0
     while frame is not None:

@@ -206,6 +206,41 @@ def test_one_box_kernel_sweep():
     assert {f for f in found if f[0] != "series"} == {("counting", "_box_columns")}
 
 
+TABLE_BUILDERS = {"CountTable", "column_table"}
+
+
+def table_layout(root: Path) -> tuple[set[str], set[tuple[str, int]]]:
+    """The modules under ``root`` that define ``grid_table``, and (module,
+    line) for each call of a table builder with a lambda in its arguments."""
+    defines, lambdas = set(), set()
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "grid_table":
+                defines.add(path.stem)
+            if isinstance(node, ast.Call) and (getattr(node.func, "id", None) in TABLE_BUILDERS
+                                               or getattr(node.func, "attr", None) in TABLE_BUILDERS):
+                arguments = node.args + [k.value for k in node.keywords]
+                if any(isinstance(n, ast.Lambda) for a in arguments for n in ast.walk(a)):
+                    lambdas.add((path.stem, node.lineno))
+    return defines, lambdas
+
+
+def test_one_table_layout():
+    """Tables are laid out from whole columns or rows: nothing in src builds
+    one cell by cell through a function."""
+    assert table_layout(SOURCE) == (set(), set())
+
+
+def test_table_layout_scan_sees_definitions_and_nested_lambdas(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def grid_table(cell): pass\n"
+        "t = tables.column_table('x', rows, cols, (f(c) for c in cols))\n"
+        "u = CountTable('y', cells=map(lambda r: r, rows))\n"
+        "v = column_table('z', rows, cols, accumulate(cols, lambda s, c: s))\n"
+        "w = sorted(rows, key=lambda r: r)\n")
+    assert table_layout(tmp_path) == ({"m"}, {("m", 3), ("m", 4)})
+
+
 PACKING = {"_Slots", "_slot_width", "_peak"}
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from partlat import counting, lattices, schemes, verify
+from partlat import counting, errata, lattices, schemes, verify
 from partlat.partitions import MultiplicityVector
 
 
@@ -75,6 +75,18 @@ def test_each_check_reads_its_declared_bound(monkeypatch, max_total):
     assert verify.verify_suite(max_total).ok
     assert calls == {c.name: () if c.cap is None else (min(max_total, c.cap),)
                      for c in verify.CHECKS}
+
+
+def test_a_crashing_erratum_reports_the_exception_not_its_witness(monkeypatch):
+    def crash():
+        raise KeyError("gone")
+
+    first, *rest = errata.ERRATA
+    monkeypatch.setattr(errata, "ERRATA", (replace(first, confirm=crash), *rest))
+    report = verify.verify_suite(1)
+    crashed = next(r for r in report.results if r.name == f"erratum-{first.ident}")
+    assert (crashed.ok, crashed.detail) == (False, "raised KeyError: 'gone'")
+    assert report.unconfirmed_errata == (crashed,) and report.ok
 
 
 @pytest.mark.parametrize("family", verify._EQUIVALENCES,
