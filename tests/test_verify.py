@@ -1,10 +1,12 @@
 """Checks of the verify suite itself: a check must be able to fail."""
 
+import functools
+from array import array
 from dataclasses import replace
 
 import pytest
 
-from partlat import counting, errata, lattices, schemes, verify
+from partlat import counting, errata, intmatrix, lattices, schemes, series, verify
 from partlat.partitions import MultiplicityVector
 
 
@@ -158,3 +160,194 @@ def test_a_non_integer_bound_is_refused_before_any_check(max_total):
     # 14 checks, 13 of them with TypeError.
     with pytest.raises(ValueError, match="^max_total must be an integer$"):
         verify.verify_suite(max_total)
+
+
+# -- each rewritten stopping condition, sabotaged: the exact detail it reports --
+
+@pytest.mark.parametrize("cell,detail", (
+    ((2, 2, 2), "rising side (2,2,2)"),
+    ((2, 2, 4), "falling side (2,2,4)"),
+), ids=("rising", "falling"))
+def test_box_unimodality_names_a_dent(monkeypatch, cell, detail):
+    box = counting.p_box
+    dent = -2 if detail.startswith("rising") else 2
+    monkeypatch.setattr(counting, "p_box", lambda a, b, m: box(a, b, m) + dent * ((a, b, m) == cell))
+    assert names_failure("box-unimodality") == detail
+
+
+def test_binomial_rows_names_a_wrong_row(monkeypatch):
+    row = counting.binomial_row
+    monkeypatch.setattr(counting, "binomial_row",
+                        lambda r: row(r)[::-1] + (0,) if r == 5 else row(r))
+    assert names_failure("binomial-rows") == "r=5"
+
+
+def test_neighbor_row_sums_names_a_wrong_total(monkeypatch):
+    total = counting.neighbor_total
+    monkeypatch.setattr(counting, "neighbor_total", lambda m: total(m) + (m == 5))
+    assert names_failure("neighbor-row-sums") == "m=5"
+
+
+def test_neighbor_row_sums_names_a_reordered_row(monkeypatch):
+    counts = lattices.column_edge_counts
+    monkeypatch.setattr(lattices, "column_edge_counts",
+                        lambda m: counts(m)[::-1] if m == 5 else counts(m))
+    assert names_failure("neighbor-row-sums") == "m=5 row"
+
+
+@pytest.mark.parametrize("operator,detail", (
+    ("summation_matrix", "cumulating the exact table misses the at-most table"),
+    ("summation_inverse", "differencing the at-most table misses the exact table"),
+), ids=("cumulate", "difference"))
+def test_cumulative_table_relation_names_the_broken_direction(monkeypatch, operator, detail):
+    make = getattr(intmatrix, operator)
+
+    def broken(n):
+        entries = [list(r) for r in make(n).entries]
+        entries[3][1] += 1
+        return intmatrix.IntMatrix(tuple(map(tuple, entries)))
+
+    monkeypatch.setattr(intmatrix, operator, broken)
+    assert names_failure("cumulative-table-relation") == detail
+
+
+def test_capped_product_box_names_a_one_sided_box(monkeypatch):
+    box = counting.p_box
+    monkeypatch.setattr(counting, "p_box", lambda a, b, m: box(a, b, m) + ((a, b, m) == (2, 5, 5)))
+    assert names_failure("capped-product-box") == "parts<=2 M=5"
+
+
+def test_capped_product_box_names_a_two_sided_box(monkeypatch):
+    caps = series.box_caps
+    monkeypatch.setattr(series, "box_caps", lambda a, b: caps(2, 2) if (a, b) == (2, 3) else caps(a, b))
+    assert names_failure("capped-product-box") == "box 2x3 M=3"
+
+
+def test_capped_product_box_names_too_few_factorizations(monkeypatch):
+    monkeypatch.setattr(series, "box_caps", lambda a, b: None)
+    assert names_failure("capped-product-box") == "only 0 factorizable boxes found"
+
+
+# Scheme 9, row index i is largest part 9 - i, column index j is j + 1 parts;
+# the cells set here are (row 7, column 0) = 0, (7, 4) = 1, (7, 8) = 0, (8, 8) = 1.
+@pytest.mark.parametrize("cells,detail", (
+    ({(7, 0): 1}, "scheme 9 total"),
+    ({(7, 0): 1, (7, 4): 0}, "scheme 9 column 1"),  # within a row: the row sums hold
+    ({(7, 8): 1, (8, 8): 0}, "scheme 9 row 1"),     # within a column: the column sums hold
+), ids=("total", "column", "row"))
+def test_scheme_totals_names_the_first_wrong_sum(monkeypatch, cells, detail):
+    build = schemes.build_scheme
+
+    def broken(total):
+        table = build(total)
+        if total != 9:
+            return table
+        rows = [list(r) for r in table.cells]
+        for (i, j), value in cells.items():
+            rows[i][j] = value
+        return replace(table, cells=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(schemes, "build_scheme", broken)
+    assert names_failure("scheme-totals") == detail
+
+
+def test_oracle_uniqueness_names_a_duplicate(monkeypatch):
+    every = verify._all_partitions
+    monkeypatch.setattr(verify, "_all_partitions", lambda m: every(m) * 2)
+    assert names_failure("oracle-uniqueness") == "duplicate at total 0"
+
+
+def test_oracle_uniqueness_names_a_classifier_miscount(monkeypatch):
+    monkeypatch.setattr(verify, "classify", lambda record, field: {0: 2})
+    assert names_failure("oracle-uniqueness") == "classifier total mismatch at 0"
+
+
+def figure_lattice(drop=(), extra=()):
+    """The figure's lattice of 7 without the edges ``drop`` and with the
+    isolated nodes ``extra``."""
+    lat = lattices.build_unit_exchange(7, 7)
+    kept = [(i, j) for i, j, e in zip(lat._low, lat._high, lat.edges) if e not in drop]
+    return lattices.OrbitLattice(lat.variant, lat.nodes + tuple(extra),
+                                 array("I", [i for i, _ in kept]), array("I", [j for _, j in kept]))
+
+
+@pytest.mark.parametrize("lattice,detail", (
+    (lambda: figure_lattice(drop={("3310000", "4300000")}), "missing edge 3310000 -- 4300000"),
+    (lambda: figure_lattice(extra=("zzz",)), "node count 16"),
+), ids=("edge", "nodes"))
+def test_figure_edges_present_names_what_is_missing(monkeypatch, lattice, detail):
+    wrong = lattice()
+    monkeypatch.setattr(lattices, "build_unit_exchange", lambda total, slots: wrong)
+    assert names_failure("figure-edges-present") == detail
+
+
+def not_regular(monkeypatch):
+    monkeypatch.setattr(lattices.OrbitLattice, "degree", lambda self, node: 5)
+
+
+def test_subset_swap_shape_names_a_wrong_size(monkeypatch):
+    build = lattices.build_subset_swap
+    monkeypatch.setattr(lattices, "build_subset_swap", lambda bits, ones: build(bits + 1, ones))
+    assert names_failure("subset-swap-shape") == "20 nodes, 90 edges"
+
+
+def test_subset_swap_shape_names_an_irregular_graph(monkeypatch):
+    not_regular(monkeypatch)
+    assert names_failure("subset-swap-shape") == "not 6-regular"
+
+
+def test_petersen_shape_names_a_wrong_size(monkeypatch):
+    build = lattices.build_subset_double_swap
+    monkeypatch.setattr(lattices, "build_subset_double_swap",
+                        lambda bits, ones: build(bits + (ones == 3), ones))
+    assert names_failure("petersen-shape") == "ones=3: 20/90"
+
+
+def test_petersen_shape_names_an_irregular_graph(monkeypatch):
+    not_regular(monkeypatch)
+    assert names_failure("petersen-shape") == "ones=2: not 3-regular"
+
+
+def test_hypercube_shape_names_a_wrong_size(monkeypatch):
+    build = lattices.build_hypercube
+    monkeypatch.setattr(lattices, "build_hypercube", lambda dim: build(dim + 1))
+    assert names_failure("hypercube-shape") == "16/32"
+
+
+@pytest.mark.parametrize("patch,detail", (
+    (("build_unit_exchange", "build_split_merge"), "unit-exchange 330 -> 411"),
+    (("build_split_merge", "build_unit_exchange"), "split-merge 330 -> 411"),
+    ("distance", "self distance"),
+), ids=("unit-exchange", "split-merge", "self"))
+def test_worked_distances_names_the_wrong_distance(monkeypatch, patch, detail):
+    if patch == "distance":
+        distance = lattices.distance
+        monkeypatch.setattr(lattices, "distance", lambda lat, a, b: distance(lat, a, b) or 1)
+    else:
+        target, source = patch
+        monkeypatch.setattr(lattices, target, getattr(lattices, source))
+    assert names_failure("worked-distances") == detail
+
+
+def test_parity_partition_names_a_wrong_odd_count(monkeypatch):
+    split = counting.odd_even_mixed
+
+    def broken(m):
+        odd, even, mixed, total = split(m)
+        return (odd + (m == 7), even, mixed, total)
+
+    monkeypatch.setattr(counting, "odd_even_mixed", broken)
+    assert names_failure("parity-partition") == "M=7"
+
+
+def test_toeplitz_shift_names_a_column_that_is_not_shifted(monkeypatch):
+    make = intmatrix.euler_matrix
+
+    @functools.wraps(make)
+    def broken(n):
+        entries = [list(r) for r in make(n).entries]
+        entries[5][3] += 1
+        return intmatrix.IntMatrix(tuple(map(tuple, entries)))
+
+    monkeypatch.setattr(intmatrix, "euler_matrix", broken)
+    assert names_failure("toeplitz-shift") == "euler_matrix column 3"
