@@ -227,10 +227,11 @@ class _Edges(Sequence):
 
 
 def _check_columns(nodes: int, low: array, high: array) -> None:
-    """Refuse edge columns unless every pair is i < j < ``nodes`` and the
-    pairs strictly increase: no self-loop, no endpoint outside the nodes
-    and no duplicate edge.  Linear, in C-level passes."""
-    if not (all(map(lt, low, high)) and max(high, default=-1) < nodes
+    """Refuse edge columns unless they are of one length, every pair is
+    i < j < ``nodes`` and the pairs strictly increase: no self-loop, no
+    endpoint outside the nodes and no duplicate edge.  Linear, in C-level
+    passes."""
+    if not (len(low) == len(high) and all(map(lt, low, high)) and max(high, default=-1) < nodes
             and all(map(lt, zip(low, high), zip(low[1:], high[1:])))):
         raise ValueError(f"edge columns are not increasing pairs i < j < {nodes}")
 

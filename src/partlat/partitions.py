@@ -153,6 +153,8 @@ class Partition:
 
     def to_ferrers(self, rows: int, cols: int) -> "FerrersMatrix":
         """Left-justified 0/1 matrix of the partition inside a rows x cols frame."""
+        require_ints("rows", rows)
+        require_ints("cols", cols)
         if rows < self.nonzero_count:
             raise FrameError(f"frame rows {rows} < {self.nonzero_count} nonzero parts")
         if cols < self.largest:

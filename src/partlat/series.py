@@ -212,9 +212,12 @@ def box_caps(max_part: int, max_parts: int) -> list[tuple[int, int]] | None:
     numerator exponents can be matched bijectively to the denominator ones
     by divisibility.  Most small boxes split (3 x 3 needs caps 1:4, 2:1,
     3:1) but some do not: the 4 x 3 polynomial has value 35 = 5 * 7 at t=1
-    and degree 12, which no product of geometric blocks achieves.
+    and degree 12, which no product of geometric blocks achieves.  A
+    negative side leaves no partition at all, which no product gives either.
     """
-    if max_parts < 0:
+    require_ints("max_part", max_part)
+    require_ints("max_parts", max_parts)
+    if max_part < 0 or max_parts < 0:
         return None
     # Bipartite matching by shortest augmenting paths, without recursion:
     # k runs down from max_parts.  Each k searches breadth first, every k it

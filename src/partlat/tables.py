@@ -2,7 +2,8 @@
 
 Row and column keys are usually ints (totals, part counts) but may be
 strings for composite tables that carry their own sum columns.  Output is
-deterministic so it can be diffed and parsed back.  :func:`column_table`
+deterministic so it can be diffed and parsed back; the parsers refuse text
+that is not such a table with ``ValueError``.  :func:`column_table`
 lays a table out from whole columns, as the counting kernel yields them.
 
 :meth:`CountTable.export` streams each format in chunks of about ``_CHUNK``
@@ -19,6 +20,8 @@ from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
+from .partitions import require_ints
+
 Key = int | str
 
 # Rows, nodes, edges or JSON pieces per chunk of a streamed export.
@@ -26,6 +29,8 @@ _CHUNK = 4096
 FORMATS = ("tsv", "csv", "json", "md")
 # Text format -> (line start, separator, line end).
 _LINES = {"tsv": ("", "\t", "\n"), "csv": ("", ",", "\n"), "md": ("| ", " | ", " |\n")}
+# The keys of a table's JSON object, in the order the json export writes them.
+_JSON_KEYS = ("name", "row_label", "col_label", "rows", "cols", "cells", "row_sums", "col_sums")
 
 
 @dataclass(frozen=True)
@@ -102,9 +107,17 @@ class CountTable:
 
     @classmethod
     def from_json(cls, text: str) -> "CountTable":
+        """Inverse of the json export; validates the stored sums.  Text that
+        is not such an object raises ``ValueError``."""
         d = json.loads(text)
-        table = cls(d["name"], d["row_label"], d["col_label"], tuple(d["rows"]),
-                    tuple(d["cols"]), tuple(map(tuple, d["cells"])))
+        if not isinstance(d, dict) or not d.keys() >= set(_JSON_KEYS):
+            raise ValueError(f"table JSON must be an object with keys {', '.join(_JSON_KEYS)}")
+        try:
+            table = cls(d["name"], d["row_label"], d["col_label"], tuple(d["rows"]),
+                        tuple(d["cols"]), tuple(map(tuple, d["cells"])))
+        except TypeError as exc:
+            raise ValueError(f"malformed table JSON: {exc}") from None
+        require_ints("each cell", *chain.from_iterable(table.cells))
         if list(table.row_sums) != d["row_sums"] or list(table.col_sums) != d["col_sums"]:
             raise ValueError("stored sums disagree with cells")
         return table
@@ -115,6 +128,8 @@ class CountTable:
         """Inverse of the tsv and csv exports (``sep`` is the separator);
         validates the sum column/row."""
         lines = [ln.split(sep) for ln in text.splitlines() if ln]
+        if not lines:
+            raise ValueError("no header line")
         end = -1 if has_sums else None  # the sum column and the sum row
         head, body = lines[0], lines[1:end]
         row_label, col_label = head[0].split("\\", 1)

@@ -83,6 +83,12 @@ def test_benchmark_commands_print_their_recorded_bytes(command, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def one_row_json(**fields) -> str:
+    """The json export of a one-row table, with ``fields`` replaced."""
+    d = CountTable("t", "m", "n", (1,), (1, 2), ((1, 0),)).to_json_dict()
+    return json.dumps({**d, **fields})
+
+
 class TestTableCommand:
     def test_exact_tsv_golden_row(self):
         status, text = run_cli("table", "exact", "--max", "6", "--format", "tsv")
@@ -152,6 +158,32 @@ class TestTableCommand:
         d[key][-1] += 1
         with pytest.raises(ValueError, match="stored sums disagree with cells"):
             CountTable.from_json(json.dumps(d))
+
+    @pytest.mark.parametrize("text,message", (
+        ("{}", "^table JSON must be an object with keys name, row_label, col_label, rows, cols, "
+               "cells, row_sums, col_sums$"),
+        ("[]", "^table JSON must be an object with keys "),
+        ('"exact"', "^table JSON must be an object with keys "),
+        (one_row_json(rows=5), "^malformed table JSON: "),
+        (one_row_json(cells=[3]), "^malformed table JSON: "),
+        (one_row_json(cells=[[1, "1"]]), "^each cell must be an integer$"),
+        (one_row_json(cells=[[1.5, True]], row_sums=[2.5], col_sums=[1.5, 1]),
+         "^each cell must be an integer$"),
+    ), ids=("empty-object", "array", "string", "rows", "cell-row", "str-cell", "float-cell"))
+    def test_from_json_refuses_what_is_not_a_table(self, text, message):
+        # Each raised KeyError or TypeError, except the float and bool
+        # cells, which made a table.
+        with pytest.raises(ValueError, match=message):
+            CountTable.from_json(text)
+
+    def test_json_keys_are_the_exported_ones(self):
+        assert tuple(exact_table(2).to_json_dict()) == tables._JSON_KEYS
+
+    @pytest.mark.parametrize("text", ("", "\n\n"))
+    def test_parse_delimited_refuses_text_without_a_header(self, text):
+        # Raised IndexError.
+        with pytest.raises(ValueError, match="^no header line$"):
+            CountTable.parse_delimited(text, "\t")
 
     def test_string_keys_round_trip(self):
         table = odd_even_mixed_table(7)

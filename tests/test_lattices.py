@@ -356,6 +356,8 @@ class TestPublicConstructor:
         ((0, 0), (2, 2)),  # a duplicate
         ((0, 0), (2, 1)),  # out of order
         ((1,), (0,)),  # i > j
+        ((0, 0), (1,)),  # a low end without its high end
+        ((0,), (1, 2)),  # a high end without its low end
     ])
     def test_builder_columns_checked(self, low, high):
         with pytest.raises(ValueError, match="not increasing pairs"):

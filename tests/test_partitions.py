@@ -276,6 +276,17 @@ class TestFerrers:
         with pytest.raises(FrameError):
             Partition((1, 1, 1)).to_ferrers(2, 3)
 
+    @pytest.mark.parametrize("call,name", [
+        (lambda: Partition((1,)).to_ferrers("a", 2), "rows"),
+        (lambda: Partition((1,)).to_ferrers(2, 2.0), "cols"),
+        (lambda: Partition((1,)).box_complement(2.5, 3), "rows"),
+        (lambda: Partition((1,)).box_complement(3, True), "cols"),
+    ], ids=("str-rows", "float-cols", "float-complement-rows", "bool-complement-cols"))
+    def test_non_integer_frame_refused_by_name(self, call, name):
+        # Each raised TypeError, or passed a bool as 1.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            call()
+
     def test_transpose_of_symmetric_matrix(self):
         f = FerrersMatrix(((1, 1), (1, 0)))
         assert f.transpose() == f

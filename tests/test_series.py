@@ -258,6 +258,21 @@ class TestCappedProduct:
                    if series.box_caps(a, b) is None}
         assert missing == {(3, 4), (4, 3), (4, 4)}
 
+    @pytest.mark.parametrize("a,b", [(-1, 2), (-1, 0), (-3, 3)])
+    def test_box_caps_of_a_negative_side_are_none(self, a, b):
+        # (-1, 2) gave [(1, 0), (2, -1)], which capped_product refuses, and
+        # (-1, 0) gave [], whose product 1 is not the empty box count 0.
+        assert series.box_caps(a, b) is None
+        assert not any(counting.p_box(a, b, m) for m in range(6))
+
+    @pytest.mark.parametrize("a,b,name", [
+        ("a", 2, "max_part"), (2.0, 2, "max_part"), (True, 2, "max_part"),
+        (2, "b", "max_parts"), (2, 2.0, "max_parts"),
+    ])
+    def test_box_caps_refuse_a_non_integer_side_by_name(self, a, b, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            series.box_caps(a, b)
+
     def test_box_caps_past_the_recursion_limit(self):
         """Each k = 1..2000 gets a numerator 2..2001 it divides, each once."""
         caps = series.box_caps(1, 2000)
@@ -267,7 +282,8 @@ class TestCappedProduct:
     def test_box_caps_keep_the_backtracking_choice(self):
         for a in range(-3, 41):
             for b in range(-3, 31):
-                assert series.box_caps(a, b) == backtracking_box_caps(a, b), (a, b)
+                want = None if a < 0 else backtracking_box_caps(a, b)
+                assert series.box_caps(a, b) == want, (a, b)
 
     def test_box_caps_exist_exactly_when_a_perfect_matching_does(self):
         for a in range(21):

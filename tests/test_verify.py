@@ -1,6 +1,7 @@
 """Checks of the verify suite itself: a check must be able to fail."""
 
 import functools
+import inspect
 from array import array
 from dataclasses import replace
 
@@ -63,6 +64,24 @@ def test_each_check_passes_at_its_cap(check):
     assert check.run(verify.MAX_TOTAL) is None
 
 
+@pytest.mark.parametrize("check", verify.CHECKS, ids=[c.name for c in verify.CHECKS])
+def test_each_check_states_cases_at_the_largest_total(check):
+    assert inspect.isgeneratorfunction(check.fn)
+    cases = check.fn() if check.cap is None else check.fn(min(verify.MAX_TOTAL, check.cap))
+    label, *sides = next(cases)
+    assert isinstance(label, str) and len(sides) == 2
+
+
+def test_run_stops_at_the_first_case_whose_sides_differ():
+    def cases():
+        yield "same", 1, 1
+        yield "first", (1, 2), (1, 3)
+        yield "second", 1, 2
+        raise AssertionError("a case after the first mismatch was computed")
+
+    assert verify.Check("c", cases).run(1) == "first"
+
+
 @pytest.mark.parametrize("max_total", (1, 5, 25))
 def test_each_check_reads_its_declared_bound(monkeypatch, max_total):
     calls = {}
@@ -70,6 +89,7 @@ def test_each_check_reads_its_declared_bound(monkeypatch, max_total):
     def recorder(name):
         def fn(*args):
             calls[name] = args
+            return ()
         return fn
 
     monkeypatch.setattr(verify, "CHECKS", tuple(replace(c, fn=recorder(c.name))
@@ -171,7 +191,8 @@ def test_a_non_integer_bound_is_refused_before_any_check(max_total):
 def test_box_unimodality_names_a_dent(monkeypatch, cell, detail):
     box = counting.p_box
     dent = -2 if detail.startswith("rising") else 2
-    monkeypatch.setattr(counting, "p_box", lambda a, b, m: box(a, b, m) + dent * ((a, b, m) == cell))
+    monkeypatch.setattr(counting, "p_box",
+                        lambda a, b, m: box(a, b, m) + dent * ((a, b, m) == cell))
     assert names_failure("box-unimodality") == detail
 
 
@@ -219,7 +240,8 @@ def test_capped_product_box_names_a_one_sided_box(monkeypatch):
 
 def test_capped_product_box_names_a_two_sided_box(monkeypatch):
     caps = series.box_caps
-    monkeypatch.setattr(series, "box_caps", lambda a, b: caps(2, 2) if (a, b) == (2, 3) else caps(a, b))
+    monkeypatch.setattr(series, "box_caps",
+                        lambda a, b: caps(2, 2) if (a, b) == (2, 3) else caps(a, b))
     assert names_failure("capped-product-box") == "box 2x3 M=3"
 
 
@@ -336,6 +358,20 @@ def test_parity_partition_names_a_wrong_odd_count(monkeypatch):
         odd, even, mixed, total = split(m)
         return (odd + (m == 7), even, mixed, total)
 
+    monkeypatch.setattr(counting, "odd_even_mixed", broken)
+    assert names_failure("parity-partition") == "M=7"
+
+
+def test_parity_partition_names_a_split_that_keeps_its_own_sum(monkeypatch):
+    # odd + 1 and mixed - 1 still add up to p(m), the value the check once
+    # compared them with; Euler's distinct count sees the odd count move.
+    split = counting.odd_even_mixed
+
+    def broken(m):
+        odd, even, mixed, total = split(m)
+        return (odd + 1, even, mixed - 1, total) if m == 7 else (odd, even, mixed, total)
+
+    assert names_failure("parity-partition") is None
     monkeypatch.setattr(counting, "odd_even_mixed", broken)
     assert names_failure("parity-partition") == "M=7"
 
